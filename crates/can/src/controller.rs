@@ -391,6 +391,15 @@ impl<V: Variant> Controller<V> {
         self.drain_confinement(events);
     }
 
+    /// `true` when an error-counter update just took the node off the bus
+    /// (switch-off-at-warning crash or bus-off). The error path that
+    /// bumped the counter must stop there: starting a flag or moving to a
+    /// delimiter afterwards would overwrite the `Crashed`/`BusOff` state
+    /// and put a fail-silent node back on the bus.
+    fn halted(&self) -> bool {
+        self.crashed || matches!(self.state, CState::BusOff { .. })
+    }
+
     /// Resolves a deferred accept/reject decision (MinorCAN probe or
     /// MajorCAN vote).
     fn resolve_deferred(&mut self, accept: bool, basis: DecisionBasis, events: &mut Vec<CanEvent>) {
@@ -415,6 +424,9 @@ impl<V: Variant> Controller<V> {
             }
         } else {
             self.bump_error_counter(deferred.role, events);
+            if self.halted() {
+                return;
+            }
             match deferred.role {
                 Role::Transmitter => {
                     if let Some(p) = self.queue.first() {
@@ -490,7 +502,7 @@ impl<V: Variant> Controller<V> {
         self.episode_role = role;
         events.push(CanEvent::ErrorDetected { kind, pos });
         self.bump_error_counter(role, events);
-        if self.crashed || matches!(self.state, CState::BusOff { .. }) {
+        if self.halted() {
             return;
         }
         match role {
@@ -565,6 +577,9 @@ impl<V: Variant> Controller<V> {
             // rejects and signals invisibly (the impairment the paper's
             // switch-off-at-warning policy exists to prevent).
             self.bump_error_counter(role, events);
+            if self.halted() {
+                return;
+            }
             if role == Role::Transmitter {
                 if let Some(p) = self.queue.first() {
                     events.push(CanEvent::RetransmissionScheduled {
@@ -583,6 +598,9 @@ impl<V: Variant> Controller<V> {
         match self.variant.eof_reaction(role, eof_bit) {
             EofReaction::RejectAndFlag => {
                 self.bump_error_counter(role, events);
+                if self.halted() {
+                    return;
+                }
                 match role {
                     Role::Transmitter => {
                         if let Some(p) = self.queue.first() {
@@ -784,7 +802,7 @@ impl<V: Variant> Controller<V> {
                 Role::Receiver => self.fc.on_receive_error_aggravated(&mut self.fc_scratch),
             }
             self.drain_confinement(events);
-            if self.crashed || matches!(self.state, CState::BusOff { .. }) {
+            if self.halted() {
                 return;
             }
         }
@@ -853,6 +871,9 @@ impl<V: Variant> Controller<V> {
                 },
                 events,
             );
+            if self.halted() {
+                return;
+            }
             self.state = CState::DelimWait {
                 overload,
                 probe: false,
@@ -881,7 +902,7 @@ impl<V: Variant> Controller<V> {
                     self.fc.on_transmit_error(&mut self.fc_scratch);
                 }
                 self.drain_confinement(events);
-                if self.crashed || matches!(self.state, CState::BusOff { .. }) {
+                if self.halted() {
                     return;
                 }
             }
@@ -1007,6 +1028,9 @@ impl<V: Variant> Controller<V> {
                     },
                     events,
                 );
+                if self.halted() {
+                    return;
+                }
             }
             self.state = CState::DelimWait {
                 overload: false,

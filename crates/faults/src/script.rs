@@ -144,8 +144,9 @@ impl ScriptedFaults {
     }
 
     /// `true` when any not-yet-fired disturbance targets `field` — the
-    /// batch engine's guard against ending a run early while a script
-    /// entry could still fire on an idle bus.
+    /// guard (in the batch engine's early stop and in this channel's
+    /// quiet promise) against skipping bits while a script entry could
+    /// still fire on an idle bus.
     pub fn targets_field(&self, field: Field) -> bool {
         self.pending.iter().any(|(d, _)| d.field == field)
     }
@@ -179,12 +180,14 @@ impl FromIterator<Disturbance> for ScriptedFaults {
 
 impl ChannelModel<WirePos> for ScriptedFaults {
     fn quiet_until(&self, now: u64) -> u64 {
-        // An exhausted script can never fire (or mutate) again; a pending
-        // entry could match any tag — including `Idle` — so no promise.
-        if self.pending.is_empty() {
-            u64::MAX
-        } else {
+        // A quiet stretch only happens while every node is quiescent, and
+        // a quiescent node reports `Idle` or `Crashed`: an entry targeting
+        // any other field can neither fire nor count an occurrence there.
+        // Same rule as the batch engine's `settled` early stop.
+        if self.targets_field(Field::Idle) || self.targets_field(Field::Crashed) {
             now
+        } else {
+            u64::MAX
         }
     }
 

@@ -93,8 +93,23 @@ pub trait HlpLayer: fmt::Debug {
         actions: &mut LayerActions,
     );
 
-    /// Called once per bit time for timeout processing.
+    /// Called once per bit time for timeout processing (except over a
+    /// stretch the node's [`quiet_until`](Self::quiet_until) promise lets
+    /// the engine leap).
     fn on_tick(&mut self, now: u64, self_index: usize, actions: &mut LayerActions);
+
+    /// First bit time at or after `now` at which [`on_tick`](Self::on_tick)
+    /// might act — expire a timer, queue a frame, emit an event. For every
+    /// bit in `now..quiet_until(now)` without a link event, `on_tick` is a
+    /// guaranteed no-op. This is the layer's share of the node's
+    /// [`BitNode::quiescent_until`] promise, which lets fixed-budget runs
+    /// leap over the idle bus while a timer runs down: a layer with
+    /// timers returns its earliest deadline, a timer-free one `u64::MAX`.
+    ///
+    /// The default promises nothing (`now`), which is always sound.
+    fn quiet_until(&self, now: u64) -> u64 {
+        now
+    }
 
     /// Rewinds the layer to its freshly-constructed state (same
     /// configuration, no delivery history) so a node can be reused across
@@ -268,6 +283,20 @@ impl<L: HlpLayer> BitNode for HlpNode<L> {
             self.ctrl.enqueue(frame);
         }
         events.extend(actions.events);
+    }
+
+    fn quiescent_until(&self, now: u64) -> u64 {
+        // Host events buffered by `broadcast` are flushed by the next
+        // observe, so they pin the node to stepping (a crashed controller
+        // would otherwise promise silence with the frame still queued).
+        if !self.pending.is_empty() {
+            return now;
+        }
+        // A quiet controller raises no link events, so the layer only
+        // acts through `on_tick`, at its own timer deadlines.
+        self.ctrl
+            .quiescent_until(now)
+            .min(self.layer.quiet_until(now))
     }
 }
 

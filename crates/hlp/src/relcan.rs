@@ -152,6 +152,16 @@ impl HlpLayer for RelCan {
         }
     }
 
+    fn quiet_until(&self, _now: u64) -> u64 {
+        // The earliest CONFIRM timeout: `on_tick` duplicates nothing
+        // before it.
+        self.awaiting_confirm
+            .values()
+            .map(|&(_, deadline)| deadline)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     fn reset(&mut self) {
         self.delivered.clear();
         self.awaiting_confirm.clear();
@@ -221,6 +231,30 @@ mod tests {
         for n in 1..3 {
             assert_eq!(sim.node(NodeId(n)).layer().delivered().len(), 1);
         }
+    }
+
+    #[test]
+    fn quiet_until_is_the_earliest_confirm_deadline() {
+        let mut layer = RelCan::new();
+        assert_eq!(layer.quiet_until(0), u64::MAX, "no timer armed");
+        let msg = HlpMessage {
+            kind: MsgKind::Data,
+            id: BroadcastId { origin: 0, seq: 0 },
+            payload: vec![7],
+        };
+        let event = CanEvent::Delivered {
+            frame: msg.encode(0).unwrap(),
+            basis: majorcan_can::DecisionBasis::CleanEof,
+        };
+        layer.on_link_event(40, 1, &event, &mut LayerActions::default());
+        assert_eq!(layer.quiet_until(41), 640);
+        // Nothing happens before the deadline; the tick at it duplicates.
+        let mut actions = LayerActions::default();
+        layer.on_tick(639, 1, &mut actions);
+        assert!(actions.outbox.is_empty());
+        layer.on_tick(640, 1, &mut actions);
+        assert_eq!(actions.outbox.len(), 1);
+        assert_eq!(layer.quiet_until(641), u64::MAX, "timer consumed");
     }
 
     #[test]

@@ -152,6 +152,15 @@ impl HlpLayer for TotCan {
         }
     }
 
+    fn quiet_until(&self, _now: u64) -> u64 {
+        // The earliest ACCEPT timeout: `on_tick` drops nothing before it.
+        self.pending
+            .values()
+            .map(|&(_, deadline)| deadline)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     fn reset(&mut self) {
         self.delivered.clear();
         self.pending.clear();
@@ -261,6 +270,36 @@ mod tests {
         for w in orders.windows(2) {
             assert_eq!(w[0], w[1], "identical delivery order everywhere");
         }
+    }
+
+    /// A DATA frame from node 0 as received by node 1 at bit `now`.
+    fn receive_data(layer: &mut TotCan, now: u64, seq: u16) {
+        let msg = HlpMessage {
+            kind: MsgKind::Data,
+            id: BroadcastId { origin: 0, seq },
+            payload: vec![seq as u8],
+        };
+        let event = CanEvent::Delivered {
+            frame: msg.encode(0).unwrap(),
+            basis: majorcan_can::DecisionBasis::CleanEof,
+        };
+        layer.on_link_event(now, 1, &event, &mut LayerActions::default());
+    }
+
+    #[test]
+    fn quiet_until_is_the_earliest_accept_deadline() {
+        let mut layer = TotCan::new();
+        assert_eq!(layer.quiet_until(0), u64::MAX, "no timer armed");
+        receive_data(&mut layer, 100, 0);
+        receive_data(&mut layer, 250, 1);
+        assert_eq!(layer.quiet_until(101), 700);
+        // Nothing happens before the deadline; the tick at it drops.
+        let mut actions = LayerActions::default();
+        layer.on_tick(699, 1, &mut actions);
+        assert!(actions.events.is_empty());
+        layer.on_tick(700, 1, &mut actions);
+        assert_eq!(actions.events.len(), 1);
+        assert_eq!(layer.quiet_until(701), 850, "next deadline");
     }
 
     #[test]

@@ -27,11 +27,16 @@ pub trait ChannelModel<Tag> {
 
     /// First bit time at or after `now` where this model might disturb a
     /// view **or** consume hidden per-bit state (e.g. a PRNG draw): for
-    /// every bit in `now..quiet_until(now)`, skipping the
-    /// [`disturb`](ChannelModel::disturb) calls entirely leaves the model
-    /// in the same state as making them, and they would all have returned
-    /// `false`. The engine's clean-stretch leap
-    /// ([`Simulator::leap`](crate::Simulator::leap)) relies on this.
+    /// every bit in `now..quiet_until(now)`, **provided every node is
+    /// quiescent over the stretch** (see
+    /// [`BitNode::quiescent_until`](crate::BitNode::quiescent_until)),
+    /// skipping the [`disturb`](ChannelModel::disturb) calls entirely
+    /// leaves the model in the same state as making them, and they would
+    /// all have returned `false`. The engine's step-or-leap loop
+    /// ([`Simulator::advance`](crate::Simulator::advance)) relies on this,
+    /// and only leaps when every node is quiescent too — so a model that
+    /// matches on node tags may promise silence wherever it cannot match
+    /// the tags a quiescent node reports.
     ///
     /// The default promises nothing (`now`), which is always sound.
     fn quiet_until(&self, now: u64) -> u64 {

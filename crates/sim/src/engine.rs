@@ -50,6 +50,7 @@ pub struct Simulator<N: BitNode, C: ChannelModel<N::Tag>> {
     nodes: Vec<N>,
     channel: C,
     now: u64,
+    stepped: u64,
     events: Vec<TimedEvent<N::Event>>,
     trace: Option<BitTrace>,
     scratch: Vec<N::Event>,
@@ -64,6 +65,7 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
             nodes: Vec::new(),
             channel,
             now: 0,
+            stepped: 0,
             events: Vec::new(),
             trace: None,
             scratch: Vec::new(),
@@ -112,6 +114,7 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     /// [`Simulator::channel_mut`] / [`Simulator::nodes_mut`]).
     pub fn reset(&mut self) {
         self.now = 0;
+        self.stepped = 0;
         self.events.clear();
         if let Some(trace) = self.trace.as_mut() {
             trace.clear();
@@ -128,6 +131,13 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     /// Current bit time (the index of the next bit to simulate).
     pub fn now(&self) -> u64 {
         self.now
+    }
+
+    /// Bits actually simulated by [`Simulator::step`] since the last
+    /// reset. The rest of [`Simulator::now`] was leapt over by
+    /// [`Simulator::advance`], so `now() - stepped()` is the leapt span.
+    pub fn stepped(&self) -> u64 {
+        self.stepped
     }
 
     /// Number of attached nodes.
@@ -188,10 +198,10 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     }
 
     /// Captures the complete mid-run simulation state — nodes, fault
-    /// channel, bit clock and event log — so a later
-    /// [`Simulator::restore_from`] resumes bit-identically from this
-    /// instant. The bit-level trace is deliberately *not* captured: the
-    /// snapshot/fork hot path runs trace-off, and a trace spanning a
+    /// channel, bit clock (with its stepped-bit count) and event log — so
+    /// a later [`Simulator::restore_from`] resumes bit-identically from
+    /// this instant. The bit-level trace is deliberately *not* captured:
+    /// the snapshot/fork hot path runs trace-off, and a trace spanning a
     /// restore would be misleading anyway.
     pub fn snapshot(&self) -> SimSnapshot<N, C>
     where
@@ -203,6 +213,7 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
             nodes: self.nodes.clone(),
             channel: self.channel.clone(),
             now: self.now,
+            stepped: self.stepped,
             events: self.events.clone(),
         }
     }
@@ -220,6 +231,7 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
         self.nodes.clone_from(&snap.nodes);
         self.channel.clone_from(&snap.channel);
         self.now = snap.now;
+        self.stepped = snap.stepped;
         self.events.clone_from(&snap.events);
         if let Some(trace) = self.trace.as_mut() {
             trace.clear();
@@ -273,12 +285,29 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
             trace.push(record, labels);
         }
         self.now += 1;
+        self.stepped += 1;
         wire
     }
 
-    /// Simulates `bits` bit times.
+    /// Simulates `bits` bit times, leaping over every stretch
+    /// [`Simulator::quiet_horizon`] proves inert and stepping the rest.
+    /// Bit-identical to stepping all `bits` one at a time.
     pub fn run(&mut self, bits: u64) {
-        for _ in 0..bits {
+        let end = self.now.saturating_add(bits);
+        while self.now < end {
+            self.advance(end);
+        }
+    }
+
+    /// One move of the step-or-leap loop behind [`Simulator::run`]: leaps
+    /// to `min(quiet_horizon(), limit)` when that lies ahead of `now`,
+    /// otherwise steps one bit. Callers that must act at a known bit (a
+    /// workload release, the end of a run) pass it as `limit`.
+    pub fn advance(&mut self, limit: u64) {
+        let stretch = self.quiet_horizon().min(limit);
+        if stretch > self.now {
+            self.now = stretch;
+        } else {
             self.step();
         }
     }
@@ -288,39 +317,25 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     /// and every node's [`quiescent_until`](BitNode::quiescent_until).
     /// Every bit in `now..quiet_horizon()` is a guaranteed no-op round —
     /// all nodes drive recessive, no view is disturbed, no state changes,
-    /// no events — so [`Simulator::leap`] may skip straight over them.
+    /// no events — so [`Simulator::advance`] may leap straight over them.
     ///
     /// Returns `now` (no stretch) while trace recording is enabled: a
-    /// leap records no per-bit samples, and traces must stay exact.
+    /// leap records no per-bit samples, and traces must stay exact. Also
+    /// returns `now` as soon as any component does, so a busy bus pays
+    /// for one or two promise queries per bit, not one per node.
     pub fn quiet_horizon(&self) -> u64 {
+        let now = self.now;
         if self.trace.is_some() {
-            return self.now;
+            return now;
         }
-        let mut horizon = self.channel.quiet_until(self.now);
+        let mut horizon = self.channel.quiet_until(now);
         for node in &self.nodes {
-            horizon = horizon.min(node.quiescent_until(self.now));
+            if horizon <= now {
+                return now;
+            }
+            horizon = horizon.min(node.quiescent_until(now));
         }
-        horizon.max(self.now)
-    }
-
-    /// Advances the clock to `to` without stepping, skipping bits proven
-    /// inert by [`Simulator::quiet_horizon`]. Bit-identical to stepping
-    /// through the stretch one bit at a time: state, events and all later
-    /// timestamps are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` lies beyond the current quiet horizon (or behind
-    /// `now`) — leaping over a bit where something could happen would
-    /// silently desynchronize the run.
-    pub fn leap(&mut self, to: u64) {
-        assert!(
-            (self.now..=self.quiet_horizon()).contains(&to),
-            "leap to {to} outside the quiet stretch {}..={}",
-            self.now,
-            self.quiet_horizon()
-        );
-        self.now = to;
+        horizon.max(now)
     }
 
     /// Simulates until `stop` returns `true` (checked after each bit) or
@@ -348,6 +363,7 @@ pub struct SimSnapshot<N: BitNode, C: ChannelModel<N::Tag>> {
     nodes: Vec<N>,
     channel: C,
     now: u64,
+    stepped: u64,
     events: Vec<TimedEvent<N::Event>>,
 }
 
@@ -553,6 +569,77 @@ mod tests {
         sim.run(1);
         sim.restore_from(&snap);
         assert_eq!(sim.trace().map(|t| t.len()), Some(0));
+    }
+
+    /// Drives recessive throughout and observes bit `wake` only: quiet
+    /// before it and after it.
+    #[derive(Clone)]
+    struct Sleeper {
+        wake: u64,
+    }
+
+    impl BitNode for Sleeper {
+        type Tag = ();
+        type Event = u64;
+
+        fn drive(&mut self, _now: u64) -> Level {
+            R
+        }
+
+        fn tag(&self) {}
+
+        fn observe(&mut self, now: u64, _seen: Level, events: &mut Vec<u64>) {
+            if now == self.wake {
+                events.push(now);
+            }
+        }
+
+        fn quiescent_until(&self, now: u64) -> u64 {
+            if now <= self.wake {
+                self.wake
+            } else {
+                u64::MAX
+            }
+        }
+    }
+
+    #[test]
+    fn run_leaps_quiet_stretches_and_counts_stepped_bits() {
+        let mut sim = Simulator::new(NoFaults);
+        sim.attach(Sleeper { wake: 30 });
+        sim.attach(Sleeper { wake: 70 });
+        sim.run(100);
+        assert_eq!(sim.now(), 100);
+        assert_eq!(sim.stepped(), 2, "only the two wake-up bits stepped");
+        let at: Vec<u64> = sim.events().iter().map(|e| e.at).collect();
+        assert_eq!(at, vec![30, 70]);
+
+        let snap = sim.snapshot();
+        sim.reset();
+        assert_eq!((sim.now(), sim.stepped()), (0, 0));
+        sim.restore_from(&snap);
+        assert_eq!((sim.now(), sim.stepped()), (100, 2));
+
+        // Trace recording pins the horizon: every bit is stepped, and the
+        // events land on the same bits.
+        sim.reset();
+        sim.record_trace();
+        sim.run(100);
+        assert_eq!(sim.stepped(), 100);
+        let traced: Vec<u64> = sim.events().iter().map(|e| e.at).collect();
+        assert_eq!(traced, at);
+    }
+
+    #[test]
+    fn advance_stops_at_its_limit() {
+        let mut sim = Simulator::new(NoFaults);
+        sim.attach(Sleeper { wake: 50 });
+        sim.advance(20);
+        assert_eq!((sim.now(), sim.stepped()), (20, 0), "leapt to the limit");
+        sim.advance(u64::MAX);
+        assert_eq!((sim.now(), sim.stepped()), (50, 0), "leapt to the wake bit");
+        sim.advance(u64::MAX);
+        assert_eq!((sim.now(), sim.stepped()), (51, 1), "stepped the wake bit");
     }
 
     #[test]

@@ -329,6 +329,13 @@ impl Testbed {
         each_sim!(&self.cluster, sim => sim.now())
     }
 
+    /// Bits of the current run actually stepped; the rest of
+    /// [`Testbed::now`] was leapt over as provably idle (see
+    /// `Simulator::stepped`).
+    pub fn stepped(&self) -> u64 {
+        each_sim!(&self.cluster, sim => sim.stepped())
+    }
+
     /// Enables or disables bit-level trace recording for subsequent runs.
     pub fn set_record_trace(&mut self, on: bool) {
         each_sim!(&mut self.cluster, sim => sim.set_record_trace(on));
@@ -498,7 +505,9 @@ impl Testbed {
         })
     }
 
-    /// Simulates `bits` bit times.
+    /// Simulates `bits` bit times on the engine's step-or-leap loop:
+    /// provably idle stretches are leapt over, bit-identically to
+    /// stepping them (trace-on runs step every bit).
     pub fn run(&mut self, bits: u64) {
         each_sim!(&mut self.cluster, sim => sim.run(bits));
     }

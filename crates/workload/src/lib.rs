@@ -260,12 +260,12 @@ where
 /// Steps `sim` for `horizon` bits, queueing every due release of any
 /// [`ReleaseSource`] on its node. Returns the number of frames queued.
 ///
-/// Clean stretches — every node quiescent, the channel quiet, no release
-/// due (see [`Simulator::quiet_horizon`]) — are skipped in one
-/// [`Simulator::leap`] instead of being stepped bit by bit, so a
-/// low-load soak costs time proportional to the *busy* bits, not the
-/// simulated span. The leap is bit-identical to stepping: state, events
-/// and timestamps are unchanged.
+/// Runs on the engine's step-or-leap loop ([`Simulator::advance`]) with
+/// the next release as the leap limit: clean stretches — every node
+/// quiescent, the channel quiet, no release due — are skipped in one leap
+/// instead of being stepped bit by bit, so a low-load soak costs time
+/// proportional to the *busy* bits, not the simulated span. The leap is
+/// bit-identical to stepping: state, events and timestamps are unchanged.
 pub fn drive_source<N, C, S>(sim: &mut Simulator<N, C>, source: &mut S, horizon: u64) -> usize
 where
     N: BitNode + FrameSink,
@@ -282,15 +282,7 @@ where
                 .enqueue_frame(release.frame);
             queued += 1;
         }
-        let stretch = sim
-            .quiet_horizon()
-            .min(source.next_at().unwrap_or(u64::MAX))
-            .min(end);
-        if stretch > now {
-            sim.leap(stretch);
-        } else {
-            sim.step();
-        }
+        sim.advance(source.next_at().unwrap_or(u64::MAX).min(end));
     }
     queued
 }

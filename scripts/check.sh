@@ -3,7 +3,7 @@
 # run exercising the JSONL sink, resume path and determinism end to end.
 #
 #   scripts/check.sh          # everything
-#   scripts/check.sh --fast   # skip the test suite (fmt + clippy + smoke)
+#   scripts/check.sh --fast   # skip both test suites (fmt + clippy + smoke)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -222,5 +222,12 @@ echo "==> batch bench smoke run (quick mode, regenerates BENCH_batch.json)"
 # itself asserts every schedule classifies identically through run_batch
 # and run_schedule before a single number is reported.
 cargo run -q --release -p majorcan-testbed --bin bench_batch -- --quick
+
+if [[ "$fast" -eq 0 ]]; then
+    echo "==> cargo test --workspace --release"
+    # Tests sized with cfg!(debug_assertions) (random_soak's 150-frame
+    # soaks, for one) only run at their full size in a release build.
+    cargo test --workspace --release -q
+fi
 
 echo "OK"

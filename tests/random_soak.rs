@@ -12,6 +12,20 @@ const FRAMES: usize = if cfg!(debug_assertions) { 40 } else { 150 };
 /// Runs a multi-frame workload (every node broadcasting) under EOF-confined
 /// random errors and returns the checker report.
 fn soak<V: Variant>(variant: &V, n_nodes: usize, ber: f64, seed: u64) -> majorcan::abcast::Report {
+    let sim = soak_run(variant, n_nodes, ber, seed, FRAMES);
+    trace_from_can_events(sim.events(), n_nodes).check()
+}
+
+type SoakSim<V> = Simulator<Controller<V>, ActiveAfter<FieldFiltered<IndependentBitErrors>>>;
+
+/// The simulator after [`soak`]'s workload of `frames` frames.
+fn soak_run<V: Variant>(
+    variant: &V,
+    n_nodes: usize,
+    ber: f64,
+    seed: u64,
+    frames: usize,
+) -> SoakSim<V> {
     let channel = ActiveAfter::new(
         12,
         FieldFiltered::eof_only(IndependentBitErrors::new(ber, seed)),
@@ -20,7 +34,7 @@ fn soak<V: Variant>(variant: &V, n_nodes: usize, ber: f64, seed: u64) -> majorca
     for _ in 0..n_nodes {
         sim.attach(Controller::new(variant.clone()));
     }
-    for k in 0..FRAMES {
+    for k in 0..frames {
         let node = k % n_nodes;
         let frame = Frame::new(
             FrameId::new(0x100 + node as u16).unwrap(),
@@ -32,7 +46,7 @@ fn soak<V: Variant>(variant: &V, n_nodes: usize, ber: f64, seed: u64) -> majorca
         sim.run(250);
     }
     sim.run(4_000);
-    trace_from_can_events(sim.events(), n_nodes).check()
+    sim
 }
 
 #[test]
@@ -68,6 +82,35 @@ fn standard_can_soak_shows_double_receptions_at_high_rate() {
         }
     }
     assert!(saw_double, "expected at least one double reception");
+}
+
+/// Regression: standard CAN at 3e-2 per EOF view, seed 5, 150 frames.
+/// A node whose error counter crossed the warning limit inside an EOF
+/// error switched off, but the error path then started a flag over the
+/// `Crashed` state, so the fail-silent node rejoined the bus and later
+/// indexed past its own frame's bit vector. A switched-off node must stay
+/// silent, and the run must grade cleanly.
+#[test]
+fn switch_off_inside_an_eof_error_stays_fail_silent() {
+    let sim = soak_run(&majorcan::can::StandardCan, 4, 3e-2, 5, 150);
+    for node in 0..4 {
+        let own: Vec<_> = sim
+            .events()
+            .iter()
+            .filter(|e| e.node == NodeId(node))
+            .collect();
+        if let Some(at) = own.iter().position(|e| e.event == CanEvent::Crashed) {
+            assert_eq!(
+                at + 1,
+                own.len(),
+                "n{node} acted after switching off: {}",
+                own[at + 1]
+            );
+            assert!(sim.node(NodeId(node)).is_crashed());
+        }
+    }
+    let report = trace_from_can_events(sim.events(), 4).check();
+    assert!(report.atomic_broadcast(), "{report}");
 }
 
 #[test]
