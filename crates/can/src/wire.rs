@@ -119,7 +119,7 @@ impl Field {
     /// Dense index of this field within [`Field::ALL`] — `Field::ALL` lists
     /// the variants in declaration order, so the cast and the table agree
     /// (checked by a test). Lets tooling build per-field lookup tables (the
-    /// lane engine's watch masks) without hashing.
+    /// testbed's trunk cache) without hashing.
     pub fn ordinal(self) -> usize {
         self as usize
     }

@@ -31,7 +31,7 @@ use majorcan_bench::cli::{exit_code, fleet, open_sink, with_shard_flags, CliArgs
 use majorcan_campaign::{json, Manifest, ProtocolSpec, Totals};
 use majorcan_falsify::{
     build_jobs, execute_search_job, run_search, write_corpus, AttackCorpusEntry, CorpusEntry,
-    Engine, Oracle, SearchConfig, SearchReport,
+    Oracle, SearchConfig, SearchReport,
 };
 use std::path::Path;
 
@@ -44,11 +44,6 @@ const EXTRAS: &[ExtraFlag] = &[
     ExtraFlag::value("--max-errors", "<n: disturbances per schedule, default 4>"),
     ExtraFlag::value("--nodes", "<n: bus size, default 3>"),
     ExtraFlag::value("--probe", "<entry.json: replay one archived repro>"),
-    ExtraFlag::switch("--scalar", "(evaluate schedule-by-schedule, not laned)"),
-    ExtraFlag::switch(
-        "--batch",
-        "(evaluate via the prefix-fork batcher, not lanes)",
-    ),
 ];
 
 /// Replays one archived corpus entry — benign disturbance repro or
@@ -175,23 +170,11 @@ fn main() {
     );
     cfg.max_errors = cli.extra_u64("--max-errors", 4) as usize;
     cfg.n_nodes = cli.extra_u64("--nodes", 3) as usize;
-    cfg.engine = match (cli.extra_flag("--scalar"), cli.extra_flag("--batch")) {
-        (true, true) => {
-            eprintln!("error: --scalar and --batch are mutually exclusive");
-            std::process::exit(exit_code::USAGE);
-        }
-        (true, false) => Engine::Scalar,
-        (false, true) => Engine::Batch,
-        (false, false) => Engine::Lanes,
-    };
-
-    let engine = cfg.engine;
-    let factory = move || Oracle::with_engine(engine);
     if let Some(code) = fleet(
         &cli,
         "falsify",
         &build_jobs(&cfg),
-        factory,
+        Oracle::new,
         execute_search_job,
         merged_majorcan_findings,
     ) {

@@ -70,9 +70,7 @@ pub use attack_search::{
 };
 pub use corpus::{load_corpus, repo_corpus_dir, write_corpus, CorpusEntry, Provenance};
 pub use generator::{generate, tail_disturbance, Geometry};
-pub use oracle::{
-    budget_for, classify, evaluate, Engine, Oracle, Outcome, HLP_BUDGET, LINK_BUDGET,
-};
+pub use oracle::{budget_for, classify, evaluate, Oracle, Outcome, HLP_BUDGET, LINK_BUDGET};
 pub use schedule::Schedule;
 pub use search::{
     build_jobs, execute_search_job, run_search, Finding, SearchConfig, SearchReport,

@@ -21,13 +21,13 @@
 //!
 //! A long-lived [`Oracle`] caches one testbed per (target, node-count)
 //! pair, so a search worker evaluating thousands of schedules against the
-//! same target reuses the cluster instead of reassembling it per run. The
+//! same target reuses the cluster, and on link targets its recorded
+//! fault-free trunk, instead of reassembling it per run. The
 //! free [`evaluate`] keeps the historical one-shot signature for callers
 //! that grade a single schedule (corpus replay, tests).
 
 use crate::schedule::Schedule;
 use majorcan_campaign::ProtocolSpec;
-use majorcan_faults::Disturbance;
 use majorcan_testbed::Testbed;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -43,28 +43,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Which evaluation engine [`Oracle::evaluate_batch`] routes a job's
-/// schedules through. All three are gated on outcome equality (the
-/// equivalence property suites plus the JSONL diff gates in
-/// `scripts/check.sh`): the same campaign must produce byte-identical
-/// artifacts whichever engine runs it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// 64-lane cohort execution
-    /// ([`run_lanes`](majorcan_testbed::Testbed::run_lanes)) — the
-    /// default: random campaign schedules are prefix-free, and the lane
-    /// engine shares their fault-free trunk regardless.
-    #[default]
-    Lanes,
-    /// Prefix-fork batch execution
-    /// ([`run_batch`](majorcan_testbed::Testbed::run_batch)) — the
-    /// falsify bin's `--batch` switch.
-    Batch,
-    /// Schedule-by-schedule scalar hot loop — the `--scalar` escape
-    /// hatch and determinism baseline.
-    Scalar,
-}
-
 /// A reusable schedule evaluator with a cached testbed.
 ///
 /// The cache holds the testbed of the most recent (target, node-count)
@@ -75,30 +53,12 @@ pub enum Engine {
 #[derive(Debug, Default)]
 pub struct Oracle {
     cached: Option<((ProtocolSpec, usize), Testbed)>,
-    engine: Engine,
 }
 
 impl Oracle {
-    /// A fresh oracle with an empty testbed cache, evaluating batches
-    /// through the default [`Engine::Lanes`].
+    /// A fresh oracle with an empty testbed cache.
     pub fn new() -> Oracle {
         Oracle::default()
-    }
-
-    /// A fresh oracle evaluating batches through `engine`.
-    pub fn with_engine(engine: Engine) -> Oracle {
-        Oracle {
-            cached: None,
-            engine,
-        }
-    }
-
-    /// An oracle whose [`Oracle::evaluate_batch`] runs schedule by
-    /// schedule through the scalar hot loop instead of a packed engine.
-    /// Exists for the engine-vs-scalar determinism gates in
-    /// `scripts/check.sh` (the falsify bin's `--scalar` switch).
-    pub fn new_scalar() -> Oracle {
-        Oracle::with_engine(Engine::Scalar)
     }
 
     /// Builds (or reuses) the cached testbed for `(target, n_nodes)`.
@@ -147,57 +107,6 @@ impl Oracle {
             Err(payload) => {
                 self.cached = None;
                 Outcome::CheckerPanic(panic_text(payload))
-            }
-        }
-    }
-
-    /// Evaluates a whole batch of schedules against one target through
-    /// the oracle's configured [`Engine`] — the 64-lane cohort engine
-    /// ([`run_lanes`](majorcan_testbed::Testbed::run_lanes)) by default —
-    /// returning one outcome per schedule in input order, each identical
-    /// to what [`Oracle::evaluate`] would have returned.
-    ///
-    /// Panic containment matches the scalar path per schedule: if the
-    /// packed run unwinds anywhere, the cached cluster is dropped and
-    /// every schedule is re-evaluated one by one, so exactly the
-    /// schedules that panic classify as [`Outcome::CheckerPanic`] and the
-    /// rest keep their real outcomes. A truncated run
-    /// ([`Outcome::Truncated`]) propagates through unchanged — the
-    /// campaign counters carry its `truncated` token instead of a
-    /// spurious clean verdict.
-    pub fn evaluate_batch(
-        &mut self,
-        target: ProtocolSpec,
-        schedules: &[Schedule],
-        n_nodes: usize,
-        budget: u64,
-    ) -> Vec<Outcome> {
-        let engine = self.engine;
-        if engine == Engine::Scalar {
-            return schedules
-                .iter()
-                .map(|s| self.evaluate(target, s, n_nodes, budget))
-                .collect();
-        }
-        let testbed = match self.testbed_for(target, n_nodes) {
-            Ok(testbed) => testbed,
-            Err(msg) => return vec![Outcome::CheckerPanic(msg); schedules.len()],
-        };
-        testbed.set_budget(budget);
-        let refs: Vec<&[Disturbance]> = schedules.iter().map(Schedule::disturbances).collect();
-        let run = catch_unwind(AssertUnwindSafe(|| match engine {
-            Engine::Lanes => testbed.run_lanes(&refs),
-            Engine::Batch => testbed.run_batch(&refs),
-            Engine::Scalar => unreachable!("scalar handled above"),
-        }));
-        match run {
-            Ok(outcomes) => outcomes,
-            Err(_) => {
-                self.cached = None;
-                schedules
-                    .iter()
-                    .map(|s| self.evaluate(target, s, n_nodes, budget))
-                    .collect()
             }
         }
     }

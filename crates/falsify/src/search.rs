@@ -16,7 +16,7 @@
 
 use crate::corpus::{CorpusEntry, Provenance};
 use crate::generator::{generate, Geometry};
-use crate::oracle::{budget_for, Engine, Oracle, Outcome};
+use crate::oracle::{budget_for, Oracle, Outcome};
 use crate::schedule::Schedule;
 use crate::shrink::shrink_with;
 use majorcan_bench::jobs::chunked_frames;
@@ -49,11 +49,6 @@ pub struct SearchConfig {
     /// Archived entries kept per `(target, outcome)` class; the shrink
     /// queue admits four times this many raw findings per class.
     pub keep_per_class: usize,
-    /// Which engine [`Oracle::evaluate_batch`] routes each job's
-    /// schedules through — lane cohorts by default, with `--batch` and
-    /// `--scalar` as the determinism gates (results must be identical
-    /// whichever engine runs).
-    pub engine: Engine,
 }
 
 impl SearchConfig {
@@ -71,7 +66,6 @@ impl SearchConfig {
             schedules_per_target,
             max_errors: 4,
             keep_per_class: 4,
-            engine: Engine::default(),
         }
     }
 }
@@ -149,13 +143,10 @@ pub fn build_jobs(cfg: &SearchConfig) -> Vec<Job> {
     jobs
 }
 
-/// Executes one adversarial-search job: synthesize all `job.frames`
-/// schedules up front, evaluate them through the oracle's packed engine
-/// ([`Oracle::evaluate_batch`] — 64-lane cohorts by default), then count
-/// outcomes and report findings into the side channel. Counters and
-/// `(job id, trial)` finding coordinates are identical to evaluating
-/// trial by trial — every engine is gated on outcome equality with the
-/// scalar hot loop.
+/// Executes one adversarial-search job: synthesize and evaluate its
+/// `job.frames` schedules trial by trial through [`Oracle::evaluate`]
+/// (panics contained per schedule), count outcomes and report findings
+/// into the side channel with their `(job id, trial)` coordinates.
 fn execute_job(
     oracle: &mut Oracle,
     job: &Job,
@@ -167,14 +158,10 @@ fn execute_job(
     let geo = Geometry::for_protocol(job.protocol, job.n_nodes);
     let budget = budget_for(job.protocol);
     let mut out = JobResult::for_job(job);
-    let schedules: Vec<_> = (0..job.frames)
-        .map(|trial| {
-            let mut rng = StdRng::seed_from_u64(derive_trial_seed(job.seed, trial));
-            generate(&mut rng, &geo, max_errors)
-        })
-        .collect();
-    let outcomes = oracle.evaluate_batch(job.protocol, &schedules, job.n_nodes, budget);
-    for (trial, (schedule, outcome)) in schedules.iter().zip(outcomes).enumerate() {
+    for trial in 0..job.frames {
+        let mut rng = StdRng::seed_from_u64(derive_trial_seed(job.seed, trial));
+        let schedule = generate(&mut rng, &geo, max_errors);
+        let outcome = oracle.evaluate(job.protocol, &schedule, job.n_nodes, budget);
         out.counters
             .add(&format!("outcome/{}/{}", job.protocol, outcome.token()), 1);
         out.frames += 1;
@@ -184,9 +171,9 @@ fn execute_job(
                 findings.lock().unwrap().push(Finding {
                     target: job.protocol,
                     job_id: job.id,
-                    trial: trial as u64,
+                    trial,
                     outcome,
-                    schedule: schedule.clone(),
+                    schedule,
                 });
             }
         }
@@ -221,12 +208,10 @@ pub fn run_search(
 ) -> io::Result<SearchReport> {
     let jobs = build_jobs(cfg);
     let findings = Mutex::new(Vec::new());
-    let engine = cfg.engine;
-    let factory = move || Oracle::with_engine(engine);
     let run = |oracle: &mut Oracle, job: &Job| execute_job(oracle, job, Some(&findings));
     let report = match sink {
-        Some(s) => run_campaign_scoped(&jobs, opts, s, factory, run)?,
-        None => run_campaign_in_memory_scoped(&jobs, opts, factory, run),
+        Some(s) => run_campaign_scoped(&jobs, opts, s, Oracle::new, run)?,
+        None => run_campaign_in_memory_scoped(&jobs, opts, Oracle::new, run),
     };
     let mut raw = findings.into_inner().expect("finding channel poisoned");
     // The runner hands jobs out in nondeterministic order; sorting by the

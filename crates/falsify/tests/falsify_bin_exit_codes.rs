@@ -109,3 +109,17 @@ fn unknown_target_exits_two() {
         .expect("spawning falsify");
     assert_eq!(out.status.code(), Some(exit_code::USAGE));
 }
+
+#[test]
+fn unknown_flags_exit_two() {
+    // The `scalar` and `batch` switches once chose an evaluation engine;
+    // with one evaluation path they are unknown flags like any other.
+    for name in ["scalar", "batch", "no-such-flag"] {
+        let flag = format!("--{name}");
+        let out = falsify_bin()
+            .args(["1", "--targets", "CAN", "--quiet", &flag])
+            .output()
+            .expect("spawning falsify");
+        assert_eq!(out.status.code(), Some(exit_code::USAGE), "{flag}");
+    }
+}

@@ -14,11 +14,7 @@ use majorcan_sim::{ChannelModel, Level, NodeId};
 use std::fmt;
 
 /// One scripted view-flip.
-///
-/// The `Ord` impl is lexicographic over the fields in declaration order —
-/// the batch engine sorts schedules by it so that schedules sharing a
-/// disturbance prefix become neighbours and can fork from one snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Disturbance {
     /// Victim node (its *view* is inverted; the wire is untouched).
     pub node: usize,
@@ -101,8 +97,8 @@ pub struct ScriptedFaults {
 }
 
 /// Manual impl so `clone_from` reuses the destination's backing storage —
-/// the batch engine restores a snapshotted script into a reused channel
-/// slot once per fork, which must not reallocate per fork.
+/// the testbed's trunk cache restores a snapshotted script into a reused
+/// channel slot once per run, which must not reallocate per run.
 impl Clone for ScriptedFaults {
     fn clone(&self) -> Self {
         ScriptedFaults {
@@ -144,19 +140,10 @@ impl ScriptedFaults {
     }
 
     /// `true` when any not-yet-fired disturbance targets `field` — the
-    /// guard (in the batch engine's early stop and in this channel's
-    /// quiet promise) against skipping bits while a script entry could
-    /// still fire on an idle bus.
+    /// guard (in this channel's quiet promise) against skipping bits
+    /// while a script entry could still fire on an idle bus.
     pub fn targets_field(&self, field: Field) -> bool {
         self.pending.iter().any(|(d, _)| d.field == field)
-    }
-
-    /// Appends `tail` to the script without touching the entries (and
-    /// per-entry occurrence counts) already loaded — the fork step of the
-    /// batch engine: a snapshot taken mid-run carries the shared prefix's
-    /// progress, and each fork appends its divergent tail fresh.
-    pub fn append_tail(&mut self, tail: &[Disturbance]) {
-        self.pending.extend(tail.iter().map(|d| (d.clone(), 0)));
     }
 
     /// The disturbances that have not fired (yet), in script order.
@@ -183,7 +170,6 @@ impl ChannelModel<WirePos> for ScriptedFaults {
         // A quiet stretch only happens while every node is quiescent, and
         // a quiescent node reports `Idle` or `Crashed`: an entry targeting
         // any other field can neither fire nor count an occurrence there.
-        // Same rule as the batch engine's `settled` early stop.
         if self.targets_field(Field::Idle) || self.targets_field(Field::Crashed) {
             now
         } else {

@@ -201,7 +201,7 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     /// channel, bit clock (with its stepped-bit count) and event log — so
     /// a later [`Simulator::restore_from`] resumes bit-identically from
     /// this instant. The bit-level trace is deliberately *not* captured:
-    /// the snapshot/fork hot path runs trace-off, and a trace spanning a
+    /// the snapshot/restore hot path runs trace-off, and a trace spanning a
     /// restore would be misleading anyway.
     pub fn snapshot(&self) -> SimSnapshot<N, C>
     where
@@ -219,8 +219,8 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     }
 
     /// Rewinds the engine to the instant captured by `snap`, reusing the
-    /// existing allocations (`clone_from`) so forking N tails from one
-    /// snapshot does not reallocate N times. Any recorded trace is cleared:
+    /// existing allocations (`clone_from`) so restoring one snapshot N
+    /// times does not reallocate N times. Any recorded trace is cleared:
     /// it belonged to the abandoned timeline.
     pub fn restore_from(&mut self, snap: &SimSnapshot<N, C>)
     where
@@ -357,7 +357,7 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
 ///
 /// Restoring with [`Simulator::restore_from`] and continuing is
 /// bit-identical to having cloned the whole engine at the capture point —
-/// the foundation of the testbed's prefix-fork batch execution.
+/// the foundation of the testbed's fault-free trunk cache.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot<N: BitNode, C: ChannelModel<N::Tag>> {
     nodes: Vec<N>,

@@ -41,8 +41,8 @@ pub enum BusChannel {
 }
 
 /// Manual impl so same-variant `clone_from` reuses the destination's
-/// backing storage: the batch engine restores the snapshotted script into
-/// a live channel once per fork, and a derived `clone_from` would
+/// backing storage: the trunk cache restores a snapshotted script into
+/// the live channel once per run, and a derived `clone_from` would
 /// reallocate the script's backing `Vec` every time.
 impl Clone for BusChannel {
     fn clone(&self) -> Self {

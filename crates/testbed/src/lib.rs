@@ -24,27 +24,22 @@
 //! [`Testbed::load_script`] rewinds controllers, event buffers, trace
 //! storage and the script allocation in place, so the hot loop is
 //! allocation-free after warm-up (see `BENCH_hotpath.json` at the repo
-//! root for the measured payoff). Batch callers go one step further:
-//! [`Testbed::run_batch`] sorts schedules by shared disturbance prefix,
-//! simulates each prefix once, [snapshots](Testbed::snapshot) at the
-//! divergence point and forks every tail from the [`Snapshot`] instead of
-//! replaying from bit zero (see `BENCH_batch.json`).
+//! root for the measured payoff). On link clusters `run_schedule` also
+//! records the fault-free run once and resumes each schedule from the
+//! last recorded bit before its script could first fire, instead of
+//! replaying the opening bits every run shares.
 
-mod batch;
-pub mod batchbench;
 mod channel;
 pub mod hotpath;
-mod lanes;
-pub mod lanesbench;
 mod outcome;
 mod scenario_run;
 mod testbed;
+mod trunk;
 
 pub use channel::BusChannel;
 pub use majorcan_campaign::ProtocolSpec;
 pub use outcome::{classify, Outcome};
 pub use scenario_run::ScenarioRun;
 pub use testbed::{
-    budget_for, spec_of, Snapshot, Testbed, TestbedBuilder, HLP_BUDGET, HLP_PROBE_PAYLOAD,
-    LINK_BUDGET,
+    budget_for, spec_of, Testbed, TestbedBuilder, HLP_BUDGET, HLP_PROBE_PAYLOAD, LINK_BUDGET,
 };

@@ -3,13 +3,14 @@
 use crate::channel::BusChannel;
 use crate::outcome::{classify, Outcome};
 use crate::scenario_run::ScenarioRun;
+use crate::trunk::{drained, LinkSim, Trunk};
 use majorcan_abcast::trace_from_can_events;
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::{CanEvent, Controller, ControllerConfig, Frame, Variant};
 use majorcan_core::{MajorCan, MinorCan};
 use majorcan_faults::{scenario_frame, AttackAction, Attacker, CrashRule, Disturbance, Scenario};
 use majorcan_hlp::{trace_from_hlp_events, BroadcastId, EdCan, HlpEvent, HlpNode, RelCan, TotCan};
-use majorcan_sim::{NodeId, SimSnapshot, Simulator, TimedEvent};
+use majorcan_sim::{NodeId, Simulator, TimedEvent};
 use majorcan_workload::{ReleaseSource, Workload};
 
 /// Bit budget for one link-layer schedule evaluation (matches the
@@ -42,12 +43,16 @@ pub fn spec_of<V: Variant>(variant: &V) -> ProtocolSpec {
 
 /// The assembled cluster: one concrete simulator type per protocol, all
 /// sharing the [`BusChannel`] fault model so a run can swap channels
-/// without changing the cluster type.
+/// without changing the cluster type. Link clusters carry the fault-free
+/// [`Trunk`] cache of [`Testbed::run_schedule`].
 #[derive(Debug)]
 enum Cluster {
-    Can(Simulator<Controller<majorcan_can::StandardCan>, BusChannel>),
-    Minor(Simulator<Controller<MinorCan>, BusChannel>),
-    Major(Simulator<Controller<MajorCan>, BusChannel>),
+    Can(
+        LinkSim<majorcan_can::StandardCan>,
+        Trunk<majorcan_can::StandardCan>,
+    ),
+    Minor(LinkSim<MinorCan>, Trunk<MinorCan>),
+    Major(LinkSim<MajorCan>, Trunk<MajorCan>),
     Ed(Simulator<HlpNode<EdCan>, BusChannel>),
     Rel(Simulator<HlpNode<RelCan>, BusChannel>),
     Tot(Simulator<HlpNode<TotCan>, BusChannel>),
@@ -59,9 +64,9 @@ enum Cluster {
 macro_rules! each_sim {
     ($cluster:expr, $sim:ident => $body:expr) => {
         match $cluster {
-            Cluster::Can($sim) => $body,
-            Cluster::Minor($sim) => $body,
-            Cluster::Major($sim) => $body,
+            Cluster::Can($sim, _) => $body,
+            Cluster::Minor($sim, _) => $body,
+            Cluster::Major($sim, _) => $body,
             Cluster::Ed($sim) => $body,
             Cluster::Rel($sim) => $body,
             Cluster::Tot($sim) => $body,
@@ -69,14 +74,18 @@ macro_rules! each_sim {
     };
 }
 
-/// Dispatches over the link-layer cluster kinds, panicking (with the
-/// operation name) on a higher-level-protocol testbed.
+/// Dispatches over the link-layer cluster kinds (optionally binding the
+/// trunk cache too), panicking (with the operation name) on a
+/// higher-level-protocol testbed.
 macro_rules! link_sim {
     ($cluster:expr, $proto:expr, $op:literal, $sim:ident => $body:expr) => {
+        link_sim!($cluster, $proto, $op, $sim, _trunk => $body)
+    };
+    ($cluster:expr, $proto:expr, $op:literal, $sim:ident, $trunk:ident => $body:expr) => {
         match $cluster {
-            Cluster::Can($sim) => $body,
-            Cluster::Minor($sim) => $body,
-            Cluster::Major($sim) => $body,
+            Cluster::Can($sim, $trunk) => $body,
+            Cluster::Minor($sim, $trunk) => $body,
+            Cluster::Major($sim, $trunk) => $body,
             _ => panic!(
                 concat!($op, " needs a link-layer cluster; this testbed runs {}"),
                 $proto
@@ -102,53 +111,6 @@ macro_rules! hlp_sim {
             ),
         }
     };
-}
-
-/// The per-kind payload of a [`Snapshot`] (mirrors [`Cluster`]).
-#[derive(Debug, Clone)]
-enum ClusterSnapshot {
-    Can(SimSnapshot<Controller<majorcan_can::StandardCan>, BusChannel>),
-    Minor(SimSnapshot<Controller<MinorCan>, BusChannel>),
-    Major(SimSnapshot<Controller<MajorCan>, BusChannel>),
-    Ed(SimSnapshot<HlpNode<EdCan>, BusChannel>),
-    Rel(SimSnapshot<HlpNode<RelCan>, BusChannel>),
-    Tot(SimSnapshot<HlpNode<TotCan>, BusChannel>),
-}
-
-/// A point-in-time capture of a [`Testbed`]'s complete mid-run state:
-/// every controller (or HLP node), the fault channel (including script
-/// progress), the bit clock and the event log the checker grades.
-///
-/// Produced by [`Testbed::snapshot`]; [`Testbed::restore`] rewinds the
-/// *same-shaped* testbed to this instant, after which continuing the run
-/// is bit-identical to never having left it. This is the fork primitive
-/// behind [`Testbed::run_batch`]: advance once through a shared schedule
-/// prefix, snapshot at the divergence point, and fork each tail from the
-/// snapshot instead of replaying from bit zero.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    protocol: ProtocolSpec,
-    n_nodes: usize,
-    state: ClusterSnapshot,
-}
-
-impl Snapshot {
-    /// The protocol of the testbed this snapshot was taken from.
-    pub fn protocol(&self) -> ProtocolSpec {
-        self.protocol
-    }
-
-    /// The bit time at which this snapshot was taken.
-    pub fn now(&self) -> u64 {
-        match &self.state {
-            ClusterSnapshot::Can(s) => s.now(),
-            ClusterSnapshot::Minor(s) => s.now(),
-            ClusterSnapshot::Major(s) => s.now(),
-            ClusterSnapshot::Ed(s) => s.now(),
-            ClusterSnapshot::Rel(s) => s.now(),
-            ClusterSnapshot::Tot(s) => s.now(),
-        }
-    }
 }
 
 /// Configures and assembles a [`Testbed`].
@@ -203,19 +165,21 @@ impl TestbedBuilder {
         };
         let channel = BusChannel::NoFaults;
         let cluster = match self.protocol {
-            ProtocolSpec::StandardCan => Cluster::Can(link_cluster(
-                majorcan_can::StandardCan,
-                self.n_nodes,
-                &config,
-                channel,
-            )),
-            ProtocolSpec::MinorCan => {
-                Cluster::Minor(link_cluster(MinorCan, self.n_nodes, &config, channel))
-            }
+            ProtocolSpec::StandardCan => Cluster::Can(
+                link_cluster(majorcan_can::StandardCan, self.n_nodes, &config, channel),
+                Trunk::new(),
+            ),
+            ProtocolSpec::MinorCan => Cluster::Minor(
+                link_cluster(MinorCan, self.n_nodes, &config, channel),
+                Trunk::new(),
+            ),
             ProtocolSpec::MajorCan { m } => {
                 let variant = MajorCan::new(m)
                     .unwrap_or_else(|e| panic!("invalid MajorCAN tolerance for testbed: {e}"));
-                Cluster::Major(link_cluster(variant, self.n_nodes, &config, channel))
+                Cluster::Major(
+                    link_cluster(variant, self.n_nodes, &config, channel),
+                    Trunk::new(),
+                )
             }
             ProtocolSpec::EdCan => Cluster::Ed(hlp_cluster(EdCan::new, self.n_nodes, channel)),
             ProtocolSpec::RelCan => Cluster::Rel(hlp_cluster(RelCan::new, self.n_nodes, channel)),
@@ -237,7 +201,7 @@ fn link_cluster<V: Variant>(
     n_nodes: usize,
     config: &ControllerConfig,
     channel: BusChannel,
-) -> Simulator<Controller<V>, BusChannel> {
+) -> LinkSim<V> {
     let mut sim = Simulator::new(channel);
     for _ in 0..n_nodes {
         sim.attach(Controller::with_config(variant.clone(), config.clone()));
@@ -344,10 +308,11 @@ impl Testbed {
     /// Changes the controllers' warning-shutoff policy; takes effect at
     /// the next reset. Link-layer clusters only.
     pub fn set_shutoff_at_warning(&mut self, on: bool) {
-        link_sim!(&mut self.cluster, self.protocol, "set_shutoff_at_warning", sim => {
+        link_sim!(&mut self.cluster, self.protocol, "set_shutoff_at_warning", sim, trunk => {
             for node in sim.nodes_mut() {
                 node.set_shutoff_at_warning(on);
             }
+            trunk.invalidate();
         });
     }
 
@@ -384,53 +349,6 @@ impl Testbed {
     /// Rewinds the cluster onto a fault-free bus.
     pub fn reset(&mut self) {
         self.reset_with(BusChannel::NoFaults);
-    }
-
-    /// Captures the cluster's complete mid-run state. See [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        let state = match &self.cluster {
-            Cluster::Can(sim) => ClusterSnapshot::Can(sim.snapshot()),
-            Cluster::Minor(sim) => ClusterSnapshot::Minor(sim.snapshot()),
-            Cluster::Major(sim) => ClusterSnapshot::Major(sim.snapshot()),
-            Cluster::Ed(sim) => ClusterSnapshot::Ed(sim.snapshot()),
-            Cluster::Rel(sim) => ClusterSnapshot::Rel(sim.snapshot()),
-            Cluster::Tot(sim) => ClusterSnapshot::Tot(sim.snapshot()),
-        };
-        Snapshot {
-            protocol: self.protocol,
-            n_nodes: self.n_nodes,
-            state,
-        }
-    }
-
-    /// Rewinds the cluster to the instant captured by `snap`, reusing the
-    /// cluster's existing allocations. Continuing the run afterwards is
-    /// bit-identical to an uninterrupted run. Any recorded trace is
-    /// cleared (it belonged to the abandoned timeline).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `snap` was taken from a testbed of a different
-    /// protocol or node count.
-    pub fn restore(&mut self, snap: &Snapshot) {
-        assert_eq!(
-            (self.protocol, self.n_nodes),
-            (snap.protocol, snap.n_nodes),
-            "snapshot of {} × {} nodes cannot restore a {} × {} testbed",
-            snap.protocol,
-            snap.n_nodes,
-            self.protocol,
-            self.n_nodes
-        );
-        match (&mut self.cluster, &snap.state) {
-            (Cluster::Can(sim), ClusterSnapshot::Can(s)) => sim.restore_from(s),
-            (Cluster::Minor(sim), ClusterSnapshot::Minor(s)) => sim.restore_from(s),
-            (Cluster::Major(sim), ClusterSnapshot::Major(s)) => sim.restore_from(s),
-            (Cluster::Ed(sim), ClusterSnapshot::Ed(s)) => sim.restore_from(s),
-            (Cluster::Rel(sim), ClusterSnapshot::Rel(s)) => sim.restore_from(s),
-            (Cluster::Tot(sim), ClusterSnapshot::Tot(s)) => sim.restore_from(s),
-            _ => unreachable!("protocol equality implies matching cluster kinds"),
-        }
     }
 
     /// Rewinds the cluster and installs `disturbances` as the scripted
@@ -538,9 +456,7 @@ impl Testbed {
             let mut calm = 0u64;
             for done in 0..max_bits {
                 sim.step();
-                let quiet = sim
-                    .nodes()
-                    .all(|n| (n.is_idle() && n.pending() == 0) || n.is_crashed());
+                let quiet = drained(sim);
                 calm = if quiet { calm + 1 } else { 0 };
                 if calm >= settle {
                     return done + 1;
@@ -577,10 +493,7 @@ impl Testbed {
     /// `true` when every node is idle with an empty queue (or crashed) —
     /// the bus has drained. Link-layer clusters only.
     pub fn is_drained(&self) -> bool {
-        link_sim!(&self.cluster, self.protocol, "is_drained", sim => {
-            sim.nodes()
-                .all(|n| (n.is_idle() && n.pending() == 0) || n.is_crashed())
-        })
+        link_sim!(&self.cluster, self.protocol, "is_drained", sim => drained(sim))
     }
 
     /// The scripted disturbances that have not fired (empty for
@@ -617,13 +530,13 @@ impl Testbed {
     pub fn outcome(&self) -> Outcome {
         let unfired = self.unfired_len();
         let verdict = match &self.cluster {
-            Cluster::Can(sim) => trace_from_can_events(sim.events(), self.n_nodes)
+            Cluster::Can(sim, _) => trace_from_can_events(sim.events(), self.n_nodes)
                 .check()
                 .verdict(),
-            Cluster::Minor(sim) => trace_from_can_events(sim.events(), self.n_nodes)
+            Cluster::Minor(sim, _) => trace_from_can_events(sim.events(), self.n_nodes)
                 .check()
                 .verdict(),
-            Cluster::Major(sim) => trace_from_can_events(sim.events(), self.n_nodes)
+            Cluster::Major(sim, _) => trace_from_can_events(sim.events(), self.n_nodes)
                 .check()
                 .verdict(),
             Cluster::Ed(sim) => trace_from_hlp_events(sim.events(), self.n_nodes)
@@ -649,74 +562,26 @@ impl Testbed {
     /// still active (not [`Testbed::is_drained`]) classifies as
     /// [`Outcome::Truncated`] instead of a clean verdict: the trace is a
     /// prefix, and "no violation on a prefix" is not "no violation".
+    ///
+    /// Link clusters skip the opening bits every run shares: the first
+    /// call records the fault-free run once, and each schedule resumes
+    /// from the last recorded bit before its script could first fire.
+    /// The cluster is left exactly as an uncached run leaves it (clock,
+    /// stepped bits, event log, unfired entries).
     pub fn run_schedule(&mut self, schedule: &[Disturbance]) -> Outcome {
         self.set_record_trace(false);
-        self.load_script(schedule);
         if self.protocol.is_hlp() {
+            self.load_script(schedule);
             self.broadcast(0, HLP_PROBE_PAYLOAD);
             self.run(self.budget);
-            self.outcome()
-        } else {
-            self.enqueue(0, scenario_frame());
-            self.run(self.budget);
-            let truncated = !self.is_drained();
-            self.outcome().truncate_if(truncated)
+            return self.outcome();
         }
-    }
-
-    /// Evaluates a whole batch of scripted schedules, returning one
-    /// [`Outcome`] per schedule in input order — each identical to what
-    /// [`Testbed::run_schedule`] would return for it on this testbed.
-    ///
-    /// Link-layer clusters route through the prefix-fork engine
-    /// (`crate::batch`): schedules are sorted so shared disturbance
-    /// prefixes become neighbours, each group's prefix is simulated once,
-    /// the cluster state is [snapshotted](Testbed::snapshot) at the
-    /// divergence point and every tail forks from the snapshot instead of
-    /// replaying from bit zero; runs also end at quiescence instead of
-    /// burning the rest of the bit budget. Higher-level-protocol clusters
-    /// fall back to per-schedule [`Testbed::run_schedule`] calls.
-    pub fn run_batch(&mut self, schedules: &[&[Disturbance]]) -> Vec<Outcome> {
-        match &mut self.cluster {
-            Cluster::Can(sim) => {
-                crate::batch::run_batch_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            Cluster::Minor(sim) => {
-                crate::batch::run_batch_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            Cluster::Major(sim) => {
-                crate::batch::run_batch_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            _ => schedules.iter().map(|s| self.run_schedule(s)).collect(),
-        }
-    }
-
-    /// Evaluates a whole batch of scripted schedules through the 64-lane
-    /// engine (`crate::lanes`), returning one [`Outcome`] per schedule in
-    /// input order — each identical to what [`Testbed::run_schedule`]
-    /// would return for it on this testbed.
-    ///
-    /// Unlike [`Testbed::run_batch`], which only merges schedules sharing
-    /// a disturbance *prefix*, the lane engine packs up to 64 arbitrary
-    /// (prefix-free) schedules into one cohort run: while no lane's script
-    /// has fired, every lane is bit-identical to the fault-free run, so
-    /// one simulator carries all of them behind a `u64` activity mask.
-    /// A lane is peeled off to the scalar path at the first bit where its
-    /// script could fire. Higher-level-protocol clusters fall back to
-    /// per-schedule [`Testbed::run_schedule`] calls.
-    pub fn run_lanes(&mut self, schedules: &[&[Disturbance]]) -> Vec<Outcome> {
-        match &mut self.cluster {
-            Cluster::Can(sim) => {
-                crate::lanes::run_lanes_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            Cluster::Minor(sim) => {
-                crate::lanes::run_lanes_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            Cluster::Major(sim) => {
-                crate::lanes::run_lanes_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            _ => schedules.iter().map(|s| self.run_schedule(s)).collect(),
-        }
+        let budget = self.budget;
+        link_sim!(&mut self.cluster, self.protocol, "run_schedule", sim, trunk => {
+            trunk.run(sim, budget, schedule)
+        });
+        let truncated = !self.is_drained();
+        self.outcome().truncate_if(truncated)
     }
 
     /// The attack-campaign hot loop: rewinds the cluster, arms `actions`

@@ -1,13 +1,12 @@
 //! Regression tests for the quiescence-vs-budget-exhaustion distinction.
 //!
-//! A budget-exhausted run and a genuinely quiescent run used to fall out
-//! of the batch engine's `run_to_quiescence` identically, so a budget
-//! landing after the frame's delivery but before the bus drained (e.g.
-//! mid-intermission) classified as a confident `Consistent` — and the
-//! no-trip group shortcut stamped that verdict onto *every* member of a
-//! prefix group. These tests pin the fix: a run whose budget elapses
-//! while the bus is still active is [`Outcome::Truncated`], on the
-//! scalar, batch and lane paths alike.
+//! A budget landing after the frame's delivery but before the bus
+//! drained (e.g. mid-intermission) once classified as a confident
+//! `Consistent`, and a shortcut that classified schedules off a shared
+//! budget-cut run stamped that verdict onto every one of them. These
+//! tests pin the fix: a run whose budget elapses while the bus is still
+//! active is [`Outcome::Truncated`], on a fresh testbed and on one whose
+//! fault-free trunk is already recorded.
 
 use majorcan_can::Field;
 use majorcan_faults::Disturbance;
@@ -67,16 +66,12 @@ fn scalar_budget_landing_mid_wind_down_truncates() {
     }
 }
 
-/// The bug named in the issue: a prefix group whose tails can never trip
-/// within the budget takes the no-trip shortcut, which used to stamp the
-/// trunk's clean verdict on every member even when the trunk was cut by
-/// the budget. The shared prefix entry (third occurrence of a CRC bit)
-/// and the tails (error-flag bits) never match a fault-free run, so the
-/// trunk is the fault-free run, no peek ever trips, and with the budget
-/// inside the wind-down window the whole group must come back
-/// `Truncated` — exactly like the scalar path.
+/// Schedules none of whose entries the fault-free run reaches (a third
+/// occurrence of a CRC bit, error-flag bits) resume from the trunk's end,
+/// so a trunk cut by the budget inside the wind-down must classify each
+/// of them `Truncated`, never with the clean verdict of the prefix.
 #[test]
-fn batch_no_trip_shortcut_reports_group_truncation() {
+fn budget_cut_trunk_truncates_every_schedule() {
     for protocol in LINK_PROTOCOLS {
         let mut prefix = Disturbance::first(0, Field::Crc, 0);
         prefix.occurrence = 3;
@@ -85,22 +80,19 @@ fn batch_no_trip_shortcut_reports_group_truncation() {
             vec![prefix.clone(), Disturbance::first(2, Field::ErrorFlag, 3)],
             vec![prefix, Disturbance::first(1, Field::ErrorFlag, 5)],
         ];
-        let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
 
         let cut = last_truncated_budget(protocol);
-        let mut tb = Testbed::builder(protocol).nodes(3).budget(cut).build();
-        let scalar: Vec<Outcome> = schedules.iter().map(|s| tb.run_schedule(s)).collect();
-        let batch = tb.run_batch(&refs);
-        let laned = tb.run_lanes(&refs);
-
-        assert_eq!(batch, scalar, "{protocol}: batch diverges from scalar");
-        assert_eq!(laned, scalar, "{protocol}: laned diverges from scalar");
-        for (i, outcome) in batch.iter().enumerate() {
-            assert_eq!(
-                outcome,
-                &Outcome::Truncated { unfired: 2 },
-                "{protocol}: member {i} of a budget-cut group classified {outcome:?}"
-            );
+        let mut warm = Testbed::builder(protocol).nodes(3).budget(cut).build();
+        warm.run_schedule(&[]);
+        for (i, schedule) in schedules.iter().enumerate() {
+            let mut fresh = Testbed::builder(protocol).nodes(3).budget(cut).build();
+            for (which, tb) in [("warm", &mut warm), ("fresh", &mut fresh)] {
+                assert_eq!(
+                    tb.run_schedule(schedule),
+                    Outcome::Truncated { unfired: 2 },
+                    "{protocol}: schedule {i} on a {which} testbed"
+                );
+            }
         }
     }
 }

@@ -150,36 +150,6 @@ echo "==> hot-path bench smoke run (quick mode, regenerates BENCH_hotpath.json)"
 # it with this machine's quick-mode numbers.
 cargo run -q --release -p majorcan-testbed --bin bench_hotpath -- --quick
 
-echo "==> lane bench smoke run (quick mode, regenerates BENCH_lanes.json)"
-# Same contract as the other bench bins: identity asserted against the
-# scalar loop on every schedule before timing, schema-drift guard against
-# the committed BENCH_lanes.json, then rewritten with quick-mode numbers.
-cargo run -q --release -p majorcan-testbed --bin bench_lanes -- --quick
-
-echo "==> engine determinism smoke (same slice through lanes, batch and scalar)"
-# All three evaluation engines must report exactly what the scalar hot
-# loop reports: run the same falsifier slice through run_lanes (default),
-# run_batch (--batch) and schedule-by-schedule (--scalar) and diff the
-# JSONL artifacts, which record every job's per-outcome counters.
-cargo run -q -p majorcan-falsify --bin falsify -- \
-    80 --seed 0xBA7C4 --jobs 2 --quiet --out "$tmp/b1.jsonl" >/dev/null
-cargo run -q -p majorcan-falsify --bin falsify -- \
-    80 --seed 0xBA7C4 --jobs 2 --quiet --scalar --out "$tmp/b2.jsonl" >/dev/null
-cargo run -q -p majorcan-falsify --bin falsify -- \
-    80 --seed 0xBA7C4 --jobs 2 --quiet --batch --out "$tmp/b3.jsonl" >/dev/null
-sort "$tmp/b1.jsonl" >"$tmp/b1.sorted"
-sort "$tmp/b2.jsonl" >"$tmp/b2.sorted"
-sort "$tmp/b3.jsonl" >"$tmp/b3.sorted"
-if ! cmp -s "$tmp/b1.sorted" "$tmp/b2.sorted"; then
-    echo "FAIL: falsifier artifact differs between lane and scalar evaluation" >&2
-    exit 1
-fi
-if ! cmp -s "$tmp/b3.sorted" "$tmp/b2.sorted"; then
-    echo "FAIL: falsifier artifact differs between batch and scalar evaluation" >&2
-    exit 1
-fi
-echo "    lane, batch and scalar evaluation produce identical artifacts ($(wc -l <"$tmp/b1.jsonl") jobs)"
-
 echo "==> sharded fleet smoke run (falsify, 1 process vs 3 shard workers, then tamper)"
 # The crash-tolerant fleet path end to end: three sequential shard
 # workers over one coordination directory must merge to a JSONL artifact
@@ -216,12 +186,6 @@ if ! grep -q "shard 1" "$tmp/tamper.err"; then
     exit 1
 fi
 echo "    flipped transcript byte detected at merge, shard named"
-
-echo "==> batch bench smoke run (quick mode, regenerates BENCH_batch.json)"
-# Fails on schema drift against the committed artifact, and measure()
-# itself asserts every schedule classifies identically through run_batch
-# and run_schedule before a single number is reported.
-cargo run -q --release -p majorcan-testbed --bin bench_batch -- --quick
 
 if [[ "$fast" -eq 0 ]]; then
     echo "==> cargo test --workspace --release"
