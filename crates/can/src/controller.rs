@@ -82,7 +82,7 @@ struct Deferred {
     frame: Option<Frame>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum CState {
     /// Waiting for 11 consecutive recessive bits before joining the bus.
     Integrating { recessive_run: u8 },
@@ -1183,7 +1183,7 @@ impl<V: Variant> BitNode for Controller<V> {
             self.announce_crash = false;
             events.push(CanEvent::Crashed);
         }
-        match self.state.clone() {
+        match self.state {
             CState::Crashed => {}
             CState::BusOff {
                 recessive_run,

@@ -2,10 +2,11 @@
 //!
 //! Every node on the bus — receivers *and* the transmitter, which monitors
 //! its own frame — runs one [`RxPipeline`] per frame. The pipeline consumes
-//! the node's **view** of each bus bit, tracks the frame-relative position,
-//! destuffs the stuffed region, decodes fields, evaluates the CRC and checks
-//! the fixed-form tail. It makes no accept/reject decisions: those belong to
-//! the controller and its protocol [`Variant`](crate::Variant).
+//! the node's **view** of each bus bit, keeps the frame-relative position as
+//! a cursor, destuffs the stuffed region, decodes fields, evaluates the CRC
+//! and checks the fixed-form tail. It makes no accept/reject decisions:
+//! those belong to the controller and its protocol
+//! [`Variant`](crate::Variant).
 
 use crate::{Crc15, Field, Frame, FrameId, Layout, WirePos};
 use majorcan_sim::Level;
@@ -41,6 +42,9 @@ enum Stage {
 pub struct RxPipeline {
     eof_len: usize,
     stage: Stage,
+    /// Position of the next bit to be pushed: [`RxPipeline::locate`],
+    /// stored by every push that does not end the frame in an error.
+    pos: WirePos,
     // --- stuffed-region state ---
     destuffed: usize,
     run_level: Option<Level>,
@@ -70,6 +74,7 @@ impl RxPipeline {
         RxPipeline {
             eof_len,
             stage: Stage::Stuffed,
+            pos: WirePos::new(Field::Sof, 0),
             destuffed: 0,
             run_level: None,
             run_len: 0,
@@ -89,7 +94,23 @@ impl RxPipeline {
     }
 
     /// Frame-relative position of the **next** bit to be pushed.
+    ///
+    /// Reads the stored cursor; after a push that returned
+    /// [`RxStep::StuffError`] or [`RxStep::FormError`] it still names the
+    /// offending bit (the frame is over and the cursor is not advanced).
     pub fn pos(&self) -> WirePos {
+        self.pos
+    }
+
+    /// [`RxPipeline::pos`] recomputed from the decoder stage and the
+    /// destuffed index through [`Layout::field_at`]: the reference the
+    /// stored cursor is tested against.
+    ///
+    /// # Panics
+    ///
+    /// After a stuff error on the stuff bit that follows the last CRC bit,
+    /// where the destuffed index already lies past the stuffed region.
+    pub fn locate(&self) -> WirePos {
         match self.stage {
             Stage::Stuffed => {
                 if self.expect_stuff {
@@ -152,6 +173,14 @@ impl RxPipeline {
 
     /// Consumes the node's view of the next bus bit.
     pub fn push(&mut self, seen: Level) -> RxStep {
+        let step = self.step(seen);
+        if matches!(step, RxStep::Ok | RxStep::FrameComplete) {
+            self.pos = self.locate();
+        }
+        step
+    }
+
+    fn step(&mut self, seen: Level) -> RxStep {
         match self.stage {
             Stage::Stuffed => self.push_stuffed(seen),
             Stage::CrcDelim => {

@@ -320,12 +320,13 @@ fn classify_attack(outcome: Outcome, bus_off_node: Option<usize>) -> AttackOutco
 #[derive(Debug, Default)]
 pub struct AttackOracle {
     cached: Option<((ProtocolSpec, usize), Testbed)>,
+    stepped: u64,
 }
 
 impl AttackOracle {
     /// A fresh oracle with an empty testbed cache.
     pub fn new() -> AttackOracle {
-        AttackOracle { cached: None }
+        AttackOracle::default()
     }
 
     /// Evaluates `schedule` against `target` and classifies the run.
@@ -337,6 +338,7 @@ impl AttackOracle {
         schedule: &AttackSchedule,
         n_nodes: usize,
     ) -> AttackOutcome {
+        self.stepped = 0;
         let key = (target, n_nodes);
         if self.cached.as_ref().map(|(k, _)| *k) != Some(key) {
             self.cached = None; // drop the old cluster before building
@@ -366,6 +368,7 @@ impl AttackOracle {
                 .map(|e| e.node.index());
             (outcome, bus_off)
         }));
+        self.stepped = testbed.stepped();
         match run {
             Ok((outcome, bus_off)) => classify_attack(outcome, bus_off),
             Err(payload) => {
@@ -373,6 +376,12 @@ impl AttackOracle {
                 AttackOutcome::Panic(panic_text(payload))
             }
         }
+    }
+
+    /// Bits the most recent [`AttackOracle::evaluate`] actually stepped
+    /// (see [`Oracle::stepped`](crate::Oracle::stepped)).
+    pub fn stepped(&self) -> u64 {
+        self.stepped
     }
 }
 
@@ -668,6 +677,18 @@ mod tests {
         // eventually goes through.
         let outcome = evaluate_attack(ProtocolSpec::StandardCan, &busoff_schedule(8), 3);
         assert!(!outcome.is_break(), "{outcome}");
+    }
+
+    #[test]
+    fn stepped_counts_the_bits_of_the_latest_evaluation() {
+        let mut oracle = AttackOracle::new();
+        let mut counts = Vec::new();
+        for s in [fig1b_attack(), busoff_schedule(8), fig1b_attack()] {
+            oracle.evaluate(ProtocolSpec::StandardCan, &s, 3);
+            assert!(0 < oracle.stepped() && oracle.stepped() <= ATTACK_BUDGET);
+            counts.push(oracle.stepped());
+        }
+        assert_eq!(counts[0], counts[2], "same schedule, same count");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! most N units".
 
 use crate::attack::{
-    AttackCorpusEntry, AttackOracle, AttackOutcome, AttackProvenance, AttackSchedule, ATTACK_BUDGET,
+    AttackCorpusEntry, AttackOracle, AttackOutcome, AttackProvenance, AttackSchedule,
 };
 use crate::generator::{seed_schedules, tail_disturbance, Geometry};
 use majorcan_bench::jobs::chunked_frames;
@@ -444,7 +444,7 @@ fn execute_attack_job(
         out.counters
             .add(&format!("attack/{}/{}", job.protocol, outcome.token()), 1);
         out.frames += 1;
-        out.bits += ATTACK_BUDGET;
+        out.bits += oracle.stepped();
         if outcome.is_break() {
             if let Some(findings) = findings {
                 findings.lock().unwrap().push(AttackFinding {

@@ -53,6 +53,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 #[derive(Debug, Default)]
 pub struct Oracle {
     cached: Option<((ProtocolSpec, usize), Testbed)>,
+    stepped: u64,
 }
 
 impl Oracle {
@@ -94,6 +95,7 @@ impl Oracle {
         n_nodes: usize,
         budget: u64,
     ) -> Outcome {
+        self.stepped = 0;
         let testbed = match self.testbed_for(target, n_nodes) {
             Ok(testbed) => testbed,
             Err(msg) => return Outcome::CheckerPanic(msg),
@@ -102,6 +104,7 @@ impl Oracle {
         let run = catch_unwind(AssertUnwindSafe(|| {
             testbed.run_schedule(schedule.disturbances())
         }));
+        self.stepped = testbed.stepped();
         match run {
             Ok(outcome) => outcome,
             Err(payload) => {
@@ -109,6 +112,15 @@ impl Oracle {
                 Outcome::CheckerPanic(panic_text(payload))
             }
         }
+    }
+
+    /// Bits the most recent [`Oracle::evaluate`] actually stepped
+    /// ([`Testbed::stepped`]; idle stretches leapt over are not counted,
+    /// and a run resumed from the fault-free trunk counts the trunk's
+    /// prefix too). Deterministic per schedule; 0 when the cluster could
+    /// not be built.
+    pub fn stepped(&self) -> u64 {
+        self.stepped
     }
 }
 
@@ -248,6 +260,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn stepped_counts_simulated_bits_not_the_budget() {
+        // The cached oracle resumes later schedules from its fault-free
+        // trunk; the count must still equal a fresh evaluation's.
+        let mut cached = Oracle::new();
+        for target in [
+            ProtocolSpec::StandardCan,
+            ProtocolSpec::MajorCan { m: 5 },
+            ProtocolSpec::TotCan,
+        ] {
+            let budget = budget_for(target);
+            for s in [sched(vec![]), sched(Scenario::fig1b().disturbances)] {
+                cached.evaluate(target, &s, 3, budget);
+                let mut fresh = Oracle::new();
+                fresh.evaluate(target, &s, 3, budget);
+                assert_eq!(cached.stepped(), fresh.stepped(), "{target}");
+                assert!(
+                    0 < cached.stepped() && cached.stepped() < budget,
+                    "{target}: stepped {} of {budget}",
+                    cached.stepped()
+                );
+            }
+        }
+        cached.evaluate(
+            ProtocolSpec::MajorCan { m: 2 },
+            &sched(vec![]),
+            3,
+            LINK_BUDGET,
+        );
+        assert_eq!(cached.stepped(), 0, "no cluster, no bits");
     }
 
     #[test]

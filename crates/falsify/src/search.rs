@@ -165,7 +165,7 @@ fn execute_job(
         out.counters
             .add(&format!("outcome/{}/{}", job.protocol, outcome.token()), 1);
         out.frames += 1;
-        out.bits += budget;
+        out.bits += oracle.stepped();
         if outcome.is_finding() {
             if let Some(findings) = findings {
                 findings.lock().unwrap().push(Finding {

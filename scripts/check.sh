@@ -36,6 +36,17 @@ if ! cmp -s "$tmp/j1.sorted" "$tmp/j2.sorted"; then
 fi
 echo "    artifact identical across worker counts ($(wc -l <"$tmp/j1.jsonl") jobs)"
 
+echo "==> figures bit-identity (figures -- all vs results/figures.txt)"
+# The paper's bit-level figures are deterministic: any change to the
+# controller, the pipeline or the engine must reproduce them byte for byte.
+cargo run -q --release -p majorcan-bench --bin figures -- all >"$tmp/figures.txt"
+if ! cmp -s results/figures.txt "$tmp/figures.txt"; then
+    echo "FAIL: figures stdout differs from results/figures.txt" >&2
+    diff results/figures.txt "$tmp/figures.txt" | head -20 >&2
+    exit 1
+fi
+echo "    figures identical to the committed artifact"
+
 echo "==> falsifier smoke run (60 schedules/target, 1 vs 2 workers, scratch corpus)"
 cargo run -q -p majorcan-falsify --bin falsify -- \
     60 --jobs 1 --quiet --corpus "$tmp/corpus1" |

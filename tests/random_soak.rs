@@ -5,15 +5,41 @@ use majorcan::abcast::trace_from_can_events;
 use majorcan::can::{CanEvent, Controller, Frame, FrameId, Variant};
 use majorcan::faults::{ActiveAfter, FieldFiltered, IndependentBitErrors};
 use majorcan::protocols::{MajorCan, MinorCan};
-use majorcan::sim::{NodeId, Simulator};
+use majorcan::sim::{NodeId, Simulator, TimedEvent};
 
 const FRAMES: usize = if cfg!(debug_assertions) { 40 } else { 150 };
 
 /// Runs a multi-frame workload (every node broadcasting) under EOF-confined
 /// random errors and returns the checker report.
+///
+/// # Panics
+///
+/// When every node left the bus: the checker grades correct nodes only, so
+/// such a run would hold every property vacuously.
 fn soak<V: Variant>(variant: &V, n_nodes: usize, ber: f64, seed: u64) -> majorcan::abcast::Report {
     let sim = soak_run(variant, n_nodes, ber, seed, FRAMES);
-    trace_from_can_events(sim.events(), n_nodes).check()
+    let trace = trace_from_can_events(sim.events(), n_nodes);
+    assert!(
+        !trace.correct_nodes().is_empty(),
+        "seed {seed}: every node left the bus, nothing left to grade"
+    );
+    trace.check()
+}
+
+/// `events` with each node's log cut just before it first left the bus
+/// (`Crashed` or `WentBusOff`). Graded on this, every node counts as
+/// correct, and is held to the properties, over exactly the bits it was.
+fn while_correct(events: &[TimedEvent<CanEvent>], n_nodes: usize) -> Vec<TimedEvent<CanEvent>> {
+    let mut gone = vec![false; n_nodes];
+    events
+        .iter()
+        .filter(|e| {
+            let off = matches!(e.event, CanEvent::Crashed | CanEvent::WentBusOff);
+            gone[e.node.index()] |= off;
+            !gone[e.node.index()]
+        })
+        .cloned()
+        .collect()
 }
 
 type SoakSim<V> = Simulator<Controller<V>, ActiveAfter<FieldFiltered<IndependentBitErrors>>>;
@@ -72,10 +98,15 @@ fn minorcan_soak_keeps_at_most_once_but_can_lose_agreement() {
 #[test]
 fn standard_can_soak_shows_double_receptions_at_high_rate() {
     // At ber 3e-2 per EOF view, single flips at the last-but-one bit are
-    // frequent enough that some run shows the Fig. 1b signature.
+    // frequent enough that some run shows the Fig. 1b signature. The same
+    // rate drives nodes past the warning limit, and a node that switched
+    // off is no longer graded, so each node is graded up to the bit it
+    // left the bus: the double reception must land on a node that was
+    // still correct when it delivered twice.
     let mut saw_double = false;
     for seed in 0..6u64 {
-        let report = soak(&majorcan::can::StandardCan, 4, 3e-2, seed);
+        let sim = soak_run(&majorcan::can::StandardCan, 4, 3e-2, seed, FRAMES);
+        let report = trace_from_can_events(&while_correct(sim.events(), 4), 4).check();
         if !report.at_most_once.holds {
             saw_double = true;
             break;
