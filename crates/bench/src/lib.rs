@@ -1,8 +1,7 @@
 //! # majorcan-bench — the reproduction harness
 //!
-//! Shared machinery behind the reproduction binaries and Criterion
-//! benchmarks: every table and figure of the MajorCAN paper has a
-//! regeneration entry point here.
+//! Shared machinery behind the reproduction binaries: every table and
+//! figure of the MajorCAN paper has a regeneration entry point here.
 //!
 //! | Paper artifact | Module | Binary |
 //! |----------------|--------|--------|

@@ -1,10 +1,13 @@
-//! Property-based tests of the protocol variants' headline guarantees:
-//! any single tail disturbance is harmless under MinorCAN and MajorCAN,
-//! MajorCAN geometry invariants hold for every m, and random ≤ m error
-//! placements in the EOF never split the bus.
+//! Tests of the protocol variants' headline guarantees on a 4-node bus.
+//! The small EOF spaces are enumerated, not sampled: every single EOF
+//! disturbance is harmless under MinorCAN and MajorCAN, and every ordered
+//! pair of EOF disturbances is checked against its exact set of
+//! counterexamples. Properties over larger spaces stay sampled: MajorCAN
+//! geometry invariants for every m, and random ≤ m error placements over
+//! the EOF and the agreement window never splitting the bus.
 
 use majorcan_abcast::trace_from_can_events;
-use majorcan_can::{Controller, Field, Variant};
+use majorcan_can::{Controller, Field, StandardCan, Variant};
 use majorcan_core::{MajorCan, MinorCan};
 use majorcan_faults::{scenario_frame, Disturbance, ScriptedFaults};
 use majorcan_sim::{NodeId, Simulator};
@@ -25,46 +28,76 @@ fn run_with_disturbances<V: Variant>(
     trace_from_can_events(sim.events(), n_nodes).check()
 }
 
+/// Every node's view of every EOF bit `1..=eof_len` on a 4-node bus.
+fn eof_placements(eof_len: u16) -> Vec<Disturbance> {
+    (0..4)
+        .flat_map(|node| (1..=eof_len).map(move |bit| Disturbance::eof(node, bit)))
+        .collect()
+}
+
+/// The ordered pairs of EOF disturbances, out of all `(4 * eof_len)²`,
+/// that break Atomic Broadcast under `variant`.
+fn failing_eof_pairs<V: Variant>(variant: &V, eof_len: u16) -> Vec<(Disturbance, Disturbance)> {
+    let placements = eof_placements(eof_len);
+    let mut failing = Vec::new();
+    for a in &placements {
+        for b in &placements {
+            let pair = vec![a.clone(), b.clone()];
+            if !run_with_disturbances(variant, 4, pair).atomic_broadcast() {
+                failing.push((a.clone(), b.clone()));
+            }
+        }
+    }
+    failing
+}
+
+#[test]
+fn every_single_eof_disturbance_is_atomic() {
+    for d in eof_placements(7) {
+        let report = run_with_disturbances(&MinorCan, 4, vec![d.clone()]);
+        assert!(report.atomic_broadcast(), "MinorCAN {d:?}: {report}");
+    }
+    for d in eof_placements(10) {
+        let report = run_with_disturbances(&MajorCan::proposed(), 4, vec![d.clone()]);
+        assert!(report.atomic_broadcast(), "MajorCAN_5 {d:?}: {report}");
+    }
+}
+
+#[test]
+fn no_pair_of_eof_disturbances_splits_majorcan() {
+    // The exhaustive refutation of the Fig. 3 class: none of the 1,600
+    // ordered placements of two EOF-view disturbances splits a
+    // MajorCAN_5 bus.
+    assert_eq!(failing_eof_pairs(&MajorCan::proposed(), 10), vec![]);
+}
+
+#[test]
+fn minorcan_falls_only_to_eof6_and_eof7_on_different_nodes() {
+    // Of 784 ordered pairs, exactly the 24 with one node disturbed at
+    // its last-but-one EOF bit and a different node at its last.
+    let at = |d: &Disturbance, bit| *d == Disturbance::eof(d.node, bit);
+    let mut expected = Vec::new();
+    for a in eof_placements(7) {
+        for b in eof_placements(7) {
+            let tail = (at(&a, 6) && at(&b, 7)) || (at(&a, 7) && at(&b, 6));
+            if a.node != b.node && tail {
+                expected.push((a.clone(), b));
+            }
+        }
+    }
+    assert_eq!(expected.len(), 24);
+    assert_eq!(failing_eof_pairs(&MinorCan, 7), expected);
+}
+
+#[test]
+fn standard_can_falls_to_many_eof_pairs() {
+    // Standard CAN has no such boundary: 249 of the 784 ordered pairs
+    // break it.
+    assert_eq!(failing_eof_pairs(&StandardCan, 7).len(), 249);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn minorcan_single_eof_disturbance_is_always_atomic(
-        node in 0usize..4,
-        bit in 1u16..=7,
-    ) {
-        let report = run_with_disturbances(&MinorCan, 4, vec![Disturbance::eof(node, bit)]);
-        prop_assert!(report.atomic_broadcast(), "node {} EOF bit {}: {}", node, bit, report);
-    }
-
-    #[test]
-    fn majorcan_single_eof_disturbance_is_always_atomic(
-        node in 0usize..4,
-        bit in 1u16..=10,
-    ) {
-        let report = run_with_disturbances(
-            &MajorCan::proposed(), 4, vec![Disturbance::eof(node, bit)]);
-        prop_assert!(report.atomic_broadcast(), "node {} EOF bit {}: {}", node, bit, report);
-    }
-
-    #[test]
-    fn majorcan_any_two_eof_disturbances_are_atomic(
-        a_node in 0usize..4, a_bit in 1u16..=10,
-        b_node in 0usize..4, b_bit in 1u16..=10,
-    ) {
-        // The exhaustive refutation of the Fig. 3 class: no placement of
-        // TWO EOF-view disturbances splits a MajorCAN_5 bus (standard CAN
-        // falls to exactly (rx@6, tx@7); MinorCAN to the same pattern).
-        let report = run_with_disturbances(
-            &MajorCan::proposed(),
-            4,
-            vec![Disturbance::eof(a_node, a_bit), Disturbance::eof(b_node, b_bit)],
-        );
-        prop_assert!(
-            report.atomic_broadcast(),
-            "({},{}) + ({},{}): {}", a_node, a_bit, b_node, b_bit, report
-        );
-    }
 
     #[test]
     fn majorcan_up_to_m_mixed_tail_disturbances_are_atomic(

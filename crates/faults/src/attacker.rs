@@ -232,8 +232,6 @@ impl Armed {
 pub struct Attacker {
     budget: u64,
     spent: u64,
-    observed: u64,
-    last_bit: Option<u64>,
     /// Bus bit already paid for by a Flood this bit time (subsequent node
     /// views of the same flooded bit ride on the same physical pulse).
     charged_bit: Option<u64>,
@@ -246,8 +244,6 @@ impl Attacker {
         Attacker {
             budget,
             spent: 0,
-            observed: 0,
-            last_bit: None,
             charged_bit: None,
             armed: actions.into_iter().map(Armed::new).collect(),
         }
@@ -277,8 +273,6 @@ impl Attacker {
     pub fn reload(&mut self, actions: &[AttackAction], budget: u64) {
         self.budget = budget;
         self.spent = 0;
-        self.observed = 0;
-        self.last_bit = None;
         self.charged_bit = None;
         self.armed.clear();
         self.armed.extend(actions.iter().cloned().map(Armed::new));
@@ -292,11 +286,6 @@ impl Attacker {
     /// Budget units spent on effective injections so far.
     pub fn spent(&self) -> u64 {
         self.spent
-    }
-
-    /// Distinct bus bit times observed since (re)arming.
-    pub fn bits_observed(&self) -> u64 {
-        self.observed
     }
 
     /// Number of armed actions that never fired a single injection.
@@ -315,11 +304,33 @@ impl Attacker {
 }
 
 impl ChannelModel<WirePos> for Attacker {
-    fn disturb(&mut self, bit: u64, node: NodeId, tag: &WirePos, wire: Level) -> bool {
-        if self.last_bit != Some(bit) {
-            self.last_bit = Some(bit);
-            self.observed += 1;
+    fn quiet_until(&self, now: u64) -> u64 {
+        // A quiet stretch only happens while every node is quiescent: the
+        // wire stays recessive and every view reports `Idle` or `Crashed`.
+        // A Pulse/Hammer aimed at either counts an appearance on every
+        // such bit; a Flood fires on every bit of its window while budget
+        // lasts. Nothing else can fire or change state there.
+        let mut quiet = u64::MAX;
+        for armed in &self.armed {
+            match armed.action {
+                AttackAction::Flood { start, len } => {
+                    if start > now {
+                        quiet = quiet.min(start);
+                    } else if now - start < len && self.spent < self.budget {
+                        return now;
+                    }
+                }
+                AttackAction::Pulse { field, .. } | AttackAction::Hammer { field, .. } => {
+                    if matches!(field, Field::Idle | Field::Crashed) {
+                        return now;
+                    }
+                }
+            }
         }
+        quiet
+    }
+
+    fn disturb(&mut self, bit: u64, node: NodeId, tag: &WirePos, wire: Level) -> bool {
         // Dominant injection is idempotent on a dominant bus: nothing to
         // change, nothing to pay. Position appearances are still not
         // counted here — the targeted tail positions (EOF, delimiters) are
@@ -470,7 +481,32 @@ mod tests {
         // Bit 12: window over.
         assert!(!atk.disturb(12, NodeId(0), &eof(2), Level::Recessive));
         assert_eq!(atk.spent(), 2);
-        assert_eq!(atk.bits_observed(), 4);
+    }
+
+    #[test]
+    fn quiet_until_waits_for_the_next_flood_and_blocks_on_quiet_targets() {
+        let pulse = |field| AttackAction::Pulse {
+            node: 0,
+            field,
+            index: 0,
+            occurrence: 1,
+        };
+        // Busy-field targets never match a quiet node: silent forever.
+        let atk = Attacker::new(vec![pulse(Field::Eof)], 5);
+        assert_eq!(atk.quiet_until(40), u64::MAX);
+        // Idle/Crashed targets count every quiet bit.
+        for field in [Field::Idle, Field::Crashed] {
+            let atk = Attacker::new(vec![pulse(Field::Eof), pulse(field)], 5);
+            assert_eq!(atk.quiet_until(40), 40, "{field}");
+        }
+        // A flood: quiet until its start, busy inside its window while
+        // funded, quiet again after it.
+        let mut atk = Attacker::new(vec![AttackAction::Flood { start: 100, len: 2 }], 1);
+        assert_eq!(atk.quiet_until(40), 100);
+        assert_eq!(atk.quiet_until(100), 100);
+        assert!(atk.disturb(100, NodeId(0), &eof(0), Level::Recessive));
+        assert_eq!(atk.quiet_until(101), u64::MAX, "budget spent");
+        assert_eq!(atk.quiet_until(102), u64::MAX, "window over");
     }
 
     #[test]
@@ -602,7 +638,6 @@ mod tests {
         );
         assert_eq!(atk.spent(), 0);
         assert_eq!(atk.budget(), 7);
-        assert_eq!(atk.bits_observed(), 0);
         assert_eq!(atk.unfired_len(), 1);
         assert!(atk.disturb(0, NodeId(0), &eof(0), Level::Recessive));
     }

@@ -159,10 +159,9 @@ impl ChannelModel<WirePos> for BusChannel {
             BusChannel::NoFaults => u64::MAX,
             BusChannel::Scripted(c) => ChannelModel::<WirePos>::quiet_until(c, now),
             BusChannel::Bursts(c) => ChannelModel::<WirePos>::quiet_until(c, now),
-            // The per-call-rng models and the stateful attacker make no
-            // skippability promise.
+            BusChannel::Attack(c) => c.quiet_until(now),
+            // The per-call-rng models make no skippability promise.
             BusChannel::IndepFull(_) | BusChannel::IndepEof(_) | BusChannel::GlobalEof(_) => now,
-            BusChannel::Attack(_) => now,
         }
     }
 }

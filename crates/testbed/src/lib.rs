@@ -23,14 +23,13 @@
 //! calls [`Testbed::run_schedule`] thousands of times;
 //! [`Testbed::load_script`] rewinds controllers, event buffers, trace
 //! storage and the script allocation in place, so the hot loop is
-//! allocation-free after warm-up (see `BENCH_hotpath.json` at the repo
-//! root for the measured payoff). On link clusters `run_schedule` also
+//! allocation-free after warm-up (`perfbench/` at the repo root times
+//! its reset and build costs). On link clusters `run_schedule` also
 //! records the fault-free run once and resumes each schedule from the
 //! last recorded bit before its script could first fire, instead of
 //! replaying the opening bits every run shares.
 
 mod channel;
-pub mod hotpath;
 mod outcome;
 mod scenario_run;
 mod testbed;

@@ -11,14 +11,25 @@
 //! `Idle`/`Crashed` (which must), scheduled crashes inside and after the
 //! quiet stretch, and the HLP timer paths — TOTCAN's ACCEPT-timeout drop
 //! and RELCAN's CONFIRM-timeout duplicates.
+//!
+//! Attack runs (`Testbed::run_attack`) get the same gate: the attacker's
+//! quiet promise must refuse every leap while a Pulse/Hammer counts
+//! `Idle`/`Crashed` appearances or a funded Flood window is open, and
+//! stop a leap at the next Flood start. A last check keeps one testbed
+//! per protocol across a pool of schedules and compares each
+//! `run_schedule` with a freshly built trace-on testbed.
 
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::{CanEvent, Field};
-use majorcan_faults::{scenario_frame, Disturbance};
+use majorcan_faults::{
+    scenario_frame, AttackAction, Disturbance, Scenario, Strategy as AttackStrategy,
+};
 use majorcan_hlp::{HlpEvent, HlpMessage, MsgKind};
 use majorcan_sim::TimedEvent;
 use majorcan_testbed::{budget_for, Outcome, Testbed, HLP_PROBE_PAYLOAD};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const ALL_PROTOCOLS: [ProtocolSpec; 6] = [
     ProtocolSpec::StandardCan,
@@ -28,6 +39,15 @@ const ALL_PROTOCOLS: [ProtocolSpec; 6] = [
     ProtocolSpec::RelCan,
     ProtocolSpec::TotCan,
 ];
+
+const LINK_PROTOCOLS: [ProtocolSpec; 3] = [
+    ProtocolSpec::StandardCan,
+    ProtocolSpec::MinorCan,
+    ProtocolSpec::MajorCan { m: 5 },
+];
+
+/// The run budget of the attack campaign (`majorcan_falsify::ATTACK_BUDGET`).
+const ATTACK_RUN_BITS: u64 = 12_000;
 
 const FIELDS: [Field; 10] = [
     Field::Idle,
@@ -142,6 +162,97 @@ fn arb_disturbance() -> impl Strategy<Value = Disturbance> {
     })
 }
 
+/// Everything an attack run is judged by.
+#[derive(Debug, PartialEq)]
+struct AttackRun {
+    log: Vec<TimedEvent<CanEvent>>,
+    outcome: Outcome,
+    now: u64,
+    spent: u64,
+    unfired: Vec<AttackAction>,
+}
+
+fn observe_attack(tb: &Testbed, outcome: Outcome) -> AttackRun {
+    let attacker = tb.attacker().expect("an attack channel is armed");
+    AttackRun {
+        log: tb.can_events().to_vec(),
+        outcome,
+        now: tb.now(),
+        spent: attacker.spent(),
+        unfired: attacker.unfired_actions(),
+    }
+}
+
+/// A link testbed configured like the attack campaign's oracle.
+fn attack_testbed(protocol: ProtocolSpec) -> Testbed {
+    Testbed::builder(protocol)
+        .nodes(3)
+        .budget(ATTACK_RUN_BITS)
+        .shutoff_at_warning(false)
+        .build()
+}
+
+/// Asserts the hot loop `run_attack` (leaping) matches the same attack
+/// stepped bit by bit with trace on. Returns the leaping run and the
+/// number of bits it stepped.
+fn assert_attack_equivalent(
+    tb: &mut Testbed,
+    actions: &[AttackAction],
+    cost_budget: u64,
+) -> (AttackRun, u64) {
+    tb.set_record_trace(true);
+    tb.load_attack(actions, cost_budget);
+    tb.enqueue(0, scenario_frame());
+    tb.run(tb.budget());
+    let reference = observe_attack(tb, tb.outcome());
+    assert_eq!(tb.stepped(), reference.now, "trace-on runs step every bit");
+    let outcome = tb.run_attack(actions, cost_budget);
+    let leapt = observe_attack(tb, outcome);
+    assert_eq!(
+        leapt,
+        reference,
+        "{}: leaping attack run diverged for {actions:?}, budget {cost_budget}",
+        tb.protocol()
+    );
+    (leapt, tb.stepped())
+}
+
+fn arb_attack_action() -> impl Strategy<Value = AttackAction> {
+    (
+        0u8..3,
+        0usize..3,
+        0usize..FIELDS.len(),
+        0u16..16,
+        0u64..ATTACK_RUN_BITS + 200,
+    )
+        .prop_map(|(kind, node, field, index, salt)| {
+            let field = FIELDS[field];
+            // A quiet node reports index 0 of `Idle`/`Crashed` on every
+            // bit, so deep occurrences there land inside the quiet stretch.
+            let quiet_field = matches!(field, Field::Idle | Field::Crashed);
+            let index = if quiet_field { 0 } else { index };
+            match kind {
+                // Mostly inside the idle tail, some past the end of the run.
+                0 => AttackAction::Flood {
+                    start: salt,
+                    len: 1 + salt % 40,
+                },
+                1 => AttackAction::Pulse {
+                    node,
+                    field,
+                    index,
+                    occurrence: 1 + (salt % if quiet_field { 1_500 } else { 3 }) as u32,
+                },
+                _ => AttackAction::Hammer {
+                    node,
+                    field,
+                    index,
+                    reps: 1 + (salt % 40) as u32,
+                },
+            }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -156,6 +267,21 @@ proptest! {
         for protocol in ALL_PROTOCOLS {
             let mut tb = Testbed::builder(protocol).nodes(3).build();
             assert_equivalent(&mut tb, &schedule, crash);
+        }
+    }
+
+    #[test]
+    fn leaping_attack_runs_match_stepped_runs(
+        actions in proptest::collection::vec(arb_attack_action(), 0..4),
+        underfund in 0u64..4,
+    ) {
+        // Some budgets fall short of the nominal cost, so floods and
+        // hammers run dry mid-window.
+        let nominal: u64 = actions.iter().map(AttackAction::cost).sum();
+        let cost_budget = nominal.saturating_sub(underfund * nominal / 4);
+        for protocol in LINK_PROTOCOLS {
+            let mut tb = attack_testbed(protocol);
+            assert_attack_equivalent(&mut tb, &actions, cost_budget);
         }
     }
 }
@@ -332,5 +458,122 @@ fn fault_free_probes_step_a_small_share_of_the_budget() {
             tb.stepped(),
             tb.now()
         );
+    }
+}
+
+fn pulse(node: usize, field: Field, index: u16, occurrence: u32) -> AttackAction {
+    AttackAction::Pulse {
+        node,
+        field,
+        index,
+        occurrence,
+    }
+}
+
+#[test]
+fn attack_runs_leap_the_idle_tail() {
+    // A fig1b-style pulse pair, a funded bus-off hammer and a counter
+    // manipulation: none targets a quiet node, so once the bus settles
+    // the rest of the 12,000-bit budget is leapt.
+    let schedules = [
+        vec![pulse(1, Field::Eof, 5, 1), pulse(0, Field::Eof, 6, 1)],
+        AttackStrategy::BusOffAttack {
+            victim: 0,
+            reps: 32,
+        }
+        .actions(),
+        AttackStrategy::CounterManipulation {
+            victim: 2,
+            reps: 16,
+        }
+        .actions(),
+    ];
+    for protocol in LINK_PROTOCOLS {
+        let mut tb = attack_testbed(protocol);
+        for actions in &schedules {
+            let cost = actions.iter().map(AttackAction::cost).sum();
+            let (run, steps) = assert_attack_equivalent(&mut tb, actions, cost);
+            assert_eq!(run.now, ATTACK_RUN_BITS, "{protocol}: clock at budget");
+            assert!(
+                steps < run.now / 2,
+                "{protocol}: {actions:?} stepped {steps} of {} bits",
+                run.now
+            );
+        }
+    }
+}
+
+#[test]
+fn idle_targets_and_open_floods_are_stepped_bit_by_bit() {
+    // A Pulse on the 1500th idle bit node 2 samples, a Hammer on node 1's
+    // idle bits, and Floods opening deep inside the quiet stretch or on
+    // the last budget bits: each must land on the same bit as in the
+    // stepped run. An underfunded flood runs dry mid-window.
+    let idle_pulse = pulse(2, Field::Idle, 0, 1_500);
+    let idle_hammer = AttackAction::Hammer {
+        node: 1,
+        field: Field::Idle,
+        index: 0,
+        reps: 3,
+    };
+    let flood = |start, len| AttackAction::Flood { start, len };
+    for protocol in LINK_PROTOCOLS {
+        let mut tb = attack_testbed(protocol);
+        for (actions, budget) in [
+            (vec![idle_pulse.clone()], 1),
+            (vec![idle_hammer.clone()], 3),
+            (vec![flood(5_000, 12)], 12),
+            (vec![flood(5_000, 12)], 5),
+            (vec![flood(ATTACK_RUN_BITS - 3, 10)], 10),
+            (vec![flood(5_000, 12), idle_pulse.clone()], 13),
+        ] {
+            let (run, _) = assert_attack_equivalent(&mut tb, &actions, budget);
+            assert!(run.unfired.is_empty(), "{protocol}: {actions:?} fired");
+            assert!(run.spent > 0, "{protocol}: {actions:?} spent");
+        }
+    }
+}
+
+/// A deterministic pool shaped like the falsifier's schedules: fault-free
+/// runs, the fig1b and fig3a scripts, and small random scripts on the
+/// data, EOF and error-flag fields.
+fn schedule_pool(seed: u64, count: usize) -> Vec<Vec<Disturbance>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count)
+        .map(|i| match i % 8 {
+            0 => Vec::new(),
+            1 => Scenario::fig1b().disturbances,
+            2 => Scenario::fig3a().disturbances,
+            _ => (0..rng.gen_range(1..=3))
+                .map(|_| {
+                    let node = rng.gen_range(0..3);
+                    match rng.gen_range(0..3) {
+                        0 => Disturbance::eof(node, rng.gen_range(1..=7)),
+                        1 => Disturbance::first(node, Field::Data, rng.gen_range(0..16)),
+                        _ => Disturbance::first(node, Field::ErrorFlag, rng.gen_range(0..6)),
+                    }
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+#[test]
+fn reused_testbeds_match_fresh_trace_on_ones() {
+    // The hot loop carries one testbed per protocol across many
+    // schedules; each verdict must equal a fresh testbed's, stepped bit
+    // by bit with trace on.
+    let pool = schedule_pool(0xBEEF, 12);
+    for protocol in ALL_PROTOCOLS {
+        let mut reused = Testbed::builder(protocol).nodes(3).build();
+        for schedule in &pool {
+            let mut fresh = Testbed::builder(protocol).nodes(3).trace(true).build();
+            let (reference, _) = run(&mut fresh, schedule, None, true);
+            assert_eq!(
+                reused.run_schedule(schedule),
+                reference.outcome,
+                "{protocol}: {schedule:?}"
+            );
+        }
     }
 }

@@ -447,6 +447,30 @@ mod tests {
     }
 
     #[test]
+    fn online_checker_does_not_steer_the_simulation() {
+        // The checker-overhead cell of perfbench: 5 nodes at 60% load.
+        for protocol in [
+            ProtocolSpec::StandardCan,
+            ProtocolSpec::MinorCan,
+            ProtocolSpec::MajorCan { m: 5 },
+        ] {
+            let mut spec = SoakSpec::new(protocol, 5, 0.6, 300, 0xBE7C);
+            let checked = run_soak(&spec, None).unwrap();
+            assert!(checked.drained, "{protocol}: cell drains");
+            let report = checked.report.expect("checker was online");
+            assert!(report.atomic_broadcast(), "{protocol}: clean bus is atomic");
+            spec.online_check = false;
+            let unchecked = run_soak(&spec, None).unwrap();
+            assert!(unchecked.report.is_none());
+            assert_eq!(
+                (unchecked.bits, unchecked.deliveries),
+                (checked.bits, checked.deliveries),
+                "{protocol}: checker on/off ran different simulations"
+            );
+        }
+    }
+
+    #[test]
     fn soak_is_deterministic() {
         let job = Job::new(
             3,

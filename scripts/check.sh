@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, lints, tests, and a campaign smoke
-# run exercising the JSONL sink, resume path and determinism end to end.
+# Repo-wide hygiene gate: formatting, lints, tests, campaign smoke runs
+# exercising the JSONL sink, resume path and determinism end to end, and
+# a short benchmark pass. It must leave the worktree as it found it.
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh --fast   # skip both test suites (fmt + clippy + smoke)
@@ -9,6 +10,10 @@ cd "$(dirname "$0")/.."
 
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
+
+# No leg may leave the tree dirty: the worktree status at the end must
+# equal the status at the start.
+status_before="$(git status --porcelain)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -149,17 +154,22 @@ cargo run -q --release -p majorcan-traffic --bin traffic -- \
     --allow-violations >/dev/null 2>&1
 echo "    online checker gates bursty cells; --allow-violations downgrades"
 
-echo "==> traffic bench smoke run (quick mode, regenerates BENCH_traffic.json)"
-cargo run -q --release -p majorcan-traffic --bin bench_traffic -- --quick
-
-echo "==> attack bench smoke run (quick mode, regenerates BENCH_attack.json)"
-cargo run -q --release -p majorcan-falsify --bin bench_attack -- --quick
-
-echo "==> hot-path bench smoke run (quick mode, regenerates BENCH_hotpath.json)"
-# Fails on schema drift against the committed artifact (the bin refuses to
-# overwrite a BENCH_hotpath.json whose key structure changed), then rewrites
-# it with this machine's quick-mode numbers.
-cargo run -q --release -p majorcan-testbed --bin bench_hotpath -- --quick
+echo "==> benchmark smoke run (perfbench tests, 1-second falsify_hlp and soak passes)"
+# perfbench is the one bench harness: its own tests, then a short
+# end-to-end pass of each workload BENCHMARK.json lists. A pass checks the
+# campaign output against perfbench/reference.txt before timing it, and
+# its last stdout line must report `"correct": true`.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in falsify_hlp soak; do
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 >"$tmp/perf-$workload.txt"
+    if ! tail -n 1 "$tmp/perf-$workload.txt" | grep -q '"correct": true'; then
+        echo "FAIL: perfbench $workload did not report \"correct\": true" >&2
+        tail -n 5 "$tmp/perf-$workload.txt" >&2
+        exit 1
+    fi
+done
+echo "    perfbench tests pass; falsify_hlp and soak report correct output"
 
 echo "==> sharded fleet smoke run (falsify, 1 process vs 3 shard workers, then tamper)"
 # The crash-tolerant fleet path end to end: three sequential shard
@@ -203,6 +213,12 @@ if [[ "$fast" -eq 0 ]]; then
     # Tests sized with cfg!(debug_assertions) (random_soak's 150-frame
     # soaks, for one) only run at their full size in a release build.
     cargo test --workspace --release -q
+fi
+
+if [[ "$(git status --porcelain)" != "$status_before" ]]; then
+    echo "FAIL: the check changed the worktree:" >&2
+    diff <(echo "$status_before") <(git status --porcelain) >&2 || true
+    exit 1
 fi
 
 echo "OK"
